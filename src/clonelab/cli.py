@@ -104,6 +104,28 @@ def _load_relation(path: str) -> finite_core.Relation:
         raise CliInputError(f"bad relation file {path}: field error: {exc}")
 
 
+def _load_generators(path: str):
+    """(generators, universe or None) from a list of operations or an
+    object {"universe": ..., "operations": [...]}. Value errors in the
+    operations propagate as ValueError."""
+    data = load_json(path)
+    if not isinstance(data, (list, dict)):
+        raise CliInputError(f"bad generators file {path}: expected a list or an object")
+    try:
+        if isinstance(data, list):
+            ops_json, universe = data, None
+        else:
+            ops_json = data.get("operations", [])
+            universe = (
+                finite_core.universe_from_json(data["universe"])
+                if "universe" in data
+                else None
+            )
+        return [finite_core.operation_from_json(o, universe) for o in ops_json], universe
+    except (KeyError, TypeError) as exc:
+        raise CliInputError(f"bad generators file {path}: field error: {exc}")
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         fh.write(canonical_json(obj) + "\n")
@@ -124,20 +146,8 @@ def _parse_subset_key(key: str) -> frozenset[int]:
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_gen(args, out) -> int:
-    data = load_json(args.generators)
-    if isinstance(data, list):
-        ops_json, universe = data, None
-    else:
-        ops_json = data.get("operations", [])
-        universe = (
-            finite_core.universe_from_json(data["universe"])
-            if "universe" in data
-            else None
-        )
     try:
-        generators = [
-            finite_core.operation_from_json(o, universe) for o in ops_json
-        ]
+        generators, universe = _load_generators(args.generators)
         fragment = clone_engine.generate(
             generators,
             args.arity_bound,

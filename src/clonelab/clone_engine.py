@@ -9,11 +9,21 @@ single-generator application over j-ary terms.
 
 Operations are canonical by their tables; deduplication ignores how a
 member was produced.
+
+Closure is semi-naive (Bancilhon & Ramakrishnan 1986): a round composes
+only the argument tuples that pick at least one member found in the
+previous round. Member order is part of the output (fragment JSON, first
+agreeing members in certificates) and is that of the naive loop: projections
+first, then round by round, generator by generator, argument tuples in
+itertools.product order over the members at the start of the round, each
+new table appended when first met. A layer stops as soon as it holds all
+m**(m**j) tables, since no later round could add one. Tables are composed
+by index arithmetic (see finite_core.offset_lookup) and become Operation
+objects once the layer is closed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .finite_core import (
@@ -23,8 +33,11 @@ from .finite_core import (
     Universe,
     all_operations,
     all_relations,
+    offset_lookup,
+    prefix_folds,
     preserves,
     projection,
+    tag_points,
 )
 
 DEFAULT_MEMBER_CAP = 200_000
@@ -89,7 +102,10 @@ def generate(
 
     members: dict[int, tuple[Operation, ...]] = {}
     for j in range(1, arity_bound + 1):
-        members[j] = _close_arity(universe, generators, j, member_cap)
+        members[j] = tuple(
+            Operation(universe, j, t)
+            for t in _close_arity(universe, generators, j, member_cap)
+        )
     return CloneFragment(universe, arity_bound, generators, members)
 
 
@@ -100,38 +116,38 @@ def projection_fragment(universe: Universe, arity_bound: int) -> CloneFragment:
 
 
 def _close_arity(universe, generators, j, member_cap):
-    ops = list(projections(universe, j))
-    seen = {op.table for op in ops}
+    """The member tables of the j-ary layer, in insertion order."""
     m = universe.size
-    size = m ** j
-    frontier_tables = set(seen)
-    while frontier_tables:
-        new_ops = []
+    full = m ** (m ** j)
+    zero = (0,) * m ** j
+    tables = [op.table for op in projections(universe, j)]
+    seen = set(tables)
+    tagged = []
+    # Each round composes over tables[:n]; its frontier is tables[old:n],
+    # the members the previous round found.
+    old = 0
+    while old < len(tables) and len(seen) < full:
+        n = len(tables)
+        members = tables[:n]
+        tagged.extend(tag_points(t, m) for t in tables[len(tagged):n])
         for g in generators:
-            # Only candidate tuples touching the frontier can give new tables.
-            for rows in itertools.product(ops, repeat=g.arity):
-                if not any(r.table in frontier_tables for r in rows):
-                    continue
-                table = tuple(
-                    g.table[_fold_index(rows, idx, m)] for idx in range(size)
-                )
-                if table not in seen:
-                    seen.add(table)
-                    new_ops.append(Operation(universe, j, table))
-                    if len(seen) > member_cap:
-                        raise ResourceCapExceeded(
-                            f"arity-{j} fragment exceeded member cap {member_cap}"
-                        )
-        ops.extend(new_ops)
-        frontier_tables = {op.table for op in new_ops}
-    return tuple(ops)
-
-
-def _fold_index(rows, idx, m):
-    out = 0
-    for r in rows:
-        out = out * m + r.table[idx]
-    return out
+            for indices, offsets in prefix_folds(members, g.arity - 1, m, zero):
+                lookup = offset_lookup(g.table, offsets, m).__getitem__
+                # An untouched prefix needs its last argument from the frontier.
+                lo = 0 if any(i >= old for i in indices) else old
+                for i in range(lo, n):
+                    table = tuple(map(lookup, tagged[i]))
+                    if table not in seen:
+                        seen.add(table)
+                        tables.append(table)
+                        if len(seen) > member_cap:
+                            raise ResourceCapExceeded(
+                                f"arity-{j} fragment exceeded member cap {member_cap}"
+                            )
+                        if len(seen) == full:
+                            return tables
+        old = n
+    return tables
 
 
 def contains(fragment: CloneFragment, op: Operation) -> bool:

@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -161,31 +162,84 @@ def superpose(outer: Operation, inners: list[Operation]) -> Operation:
         if inner.arity != k:
             raise ValueError("inner operations must share one arity")
     m = outer.universe.size
-    table = []
-    for idx in range(m ** k):
-        table.append(outer.table[_compose_index(outer, inners, idx, m)])
-    return Operation(outer.universe, k, tuple(table))
+    offsets = (0,) * m ** k
+    for inner in inners[:-1]:
+        offsets = tuple(o * m + v for o, v in zip(offsets, inner.table))
+    lookup = offset_lookup(outer.table, offsets, m)
+    table = tuple(map(lookup.__getitem__, tag_points(inners[-1].table, m)))
+    return Operation(outer.universe, k, table)
 
 
-def _compose_index(outer, inners, idx, m):
-    # Fold the inner tables' values at position idx into outer's table index.
-    out = 0
-    for inner in inners:
-        out = out * m + inner.table[idx]
-    return out
+# --- composition by index arithmetic ---------------------------------------
+#
+# Applying an n-ary table pointwise to vectors v_0..v_{n-1} looks up, at
+# each point x, the base-m number v_0[x] v_1[x] ... v_{n-1}[x] (first
+# argument most significant). The digits of the first n-1 vectors fold
+# into one offset per point, shared by every choice of the last vector;
+# offset_lookup turns the offsets into one flat table, which the last
+# vector indexes through its tagged points. Closure (the vectors are member
+# tables) and preservation (the vectors are relation tuples, the points are
+# the relation's coordinates) both compose this way.
+
+def tag_points(vector, m: int) -> tuple[int, ...]:
+    """x*m + vector[x] for each point x: where vector's entries sit in an
+    offset_lookup table."""
+    return tuple(x * m + v for x, v in enumerate(vector))
+
+
+def offset_lookup(outer_table, offsets, m: int) -> list[int]:
+    """Entry x*m + v is outer_table[offsets[x]*m + v]: outer's value at
+    point x once the earlier arguments, folded into offsets, are fixed and
+    the last argument is v. Composing with a last vector w is then
+    tuple(map(lookup.__getitem__, tag_points(w, m)))."""
+    return [outer_table[o * m + v] for o in offsets for v in range(m)]
+
+
+def prefix_folds(vectors, depth: int, m: int, start):
+    """Yield (indices, offsets) for every depth-tuple of indices into
+    vectors, in itertools.product order.
+
+    offsets is the pointwise base-m number the chosen vectors spell, the
+    first choice most significant, or start when depth is 0. Each distinct
+    prefix of choices is folded once.
+    """
+    if depth == 0:
+        yield (), start
+        return
+    yield from _fold_walk(vectors, depth, m, (), None)
+
+
+def _fold_walk(vectors, depth, m, indices, partial):
+    for i, vector in enumerate(vectors):
+        fold = vector if partial is None else tuple(p * m + v for p, v in zip(partial, vector))
+        if depth == 1:
+            yield indices + (i,), fold
+        else:
+            yield from _fold_walk(vectors, depth - 1, m, indices + (i,), fold)
+
+
+@functools.lru_cache(maxsize=16)
+def _relation_rows(rel: Relation):
+    """The sorted tuples of rel, and the same tuples tagged for
+    offset_lookup."""
+    tuples = tuple(rel.sorted_tuples())
+    return tuples, tuple(tag_points(t, rel.universe.size) for t in tuples)
 
 
 def _find_preservation_violation(op: Operation, rel: Relation) -> PreservationWitness | None:
     if op.universe != rel.universe:
         raise ValueError("operation and relation live on different universes")
-    tuples = rel.sorted_tuples()
-    for rows in itertools.product(tuples, repeat=op.arity):
-        image = tuple(
-            op.table[op.index_of(tuple(row[j] for row in rows))]
-            for j in range(rel.arity)
-        )
-        if image not in rel.tuples:
-            return PreservationWitness(rows=rows, image=image)
+    tuples, tagged = _relation_rows(rel)
+    m, members = op.universe.size, rel.tuples
+    # Rows are visited in itertools.product order, so the first witness
+    # found is the lexicographically least failing matrix.
+    for indices, offsets in prefix_folds(tuples, op.arity - 1, m, (0,) * rel.arity):
+        lookup = offset_lookup(op.table, offsets, m).__getitem__
+        for i, row in enumerate(tagged):
+            image = tuple(map(lookup, row))
+            if image not in members:
+                rows = tuple(tuples[k] for k in indices + (i,))
+                return PreservationWitness(rows=rows, image=image)
     return None
 
 
@@ -335,6 +389,8 @@ def operation_to_json(op: Operation) -> dict:
 
 
 def _infer_size(table_len: int, arity: int) -> int:
+    if arity < 1:
+        raise ValueError(f"operation arity must be >= 1, got {arity}")
     m = round(table_len ** (1.0 / arity))
     for candidate in (m - 1, m, m + 1):
         if candidate >= 1 and candidate ** arity == table_len:

@@ -319,3 +319,21 @@ def test_schema_dump():
 def test_no_command_is_usage_error():
     code, payload, _ = invoke([])
     assert code == 1 and payload is None
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        "nand",
+        [1, 2],
+        {"universe": {"size": 2}, "operations": [{"arity": 2}]},
+        [{"arity": 0, "table": [1]}],
+    ],
+    ids=["top-level-string", "list-of-ints", "operation-without-table", "arity-zero"],
+)
+def test_gen_malformed_generators_are_input_errors(tmp_path, generators):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(generators))
+    code, result, _ = invoke(["gen", "--generators", str(path), "--arity-bound", "2"])
+    assert code == 1
+    assert result["error"]["type"] == "input"

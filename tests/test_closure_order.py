@@ -1,0 +1,118 @@
+"""Order contract of generate(): members come out in the order of the naive
+product-and-filter closure.
+
+The oracle below is that loop written out on bare tables. Each round it
+walks every tuple of current members in itertools.product order, keeps the
+tuples that pick one of the previous round's new tables, and composes them
+point by point through a map from argument tuples to values. It shares no
+code with clone_engine. Its only shortcut is to stop a layer once it holds
+every table of that arity, after which no round could add anything.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from clonelab.clone_engine import generate
+from clonelab.finite_core import Operation, ResourceCapExceeded, Universe, all_operations
+
+
+class OracleCap(Exception):
+    pass
+
+
+def naive_layer(m, gens, j, cap=None):
+    """The arity-j member tables of the clone generated by gens, a list of
+    (arity, table) pairs, in insertion order."""
+    points = list(itertools.product(range(m), repeat=j))
+    tables = [tuple(p[i] for p in points) for i in range(j)]
+    seen = set(tables)
+    full = m ** len(points)
+    frontier = set(range(len(tables)))
+    while frontier and len(seen) < full:
+        new = []
+        for arity, gt in gens:
+            value_at = dict(zip(itertools.product(range(m), repeat=arity), gt))
+            for picks in itertools.product(range(len(tables)), repeat=arity):
+                if frontier.isdisjoint(picks):
+                    continue
+                # Column x of the picked tables is the generator's argument at x.
+                columns = zip(*[tables[i] for i in picks])
+                composed = tuple(map(value_at.__getitem__, columns))
+                if composed not in seen:
+                    seen.add(composed)
+                    new.append(composed)
+                    if cap is not None and len(seen) > cap:
+                        raise OracleCap(f"arity-{j} fragment exceeded member cap {cap}")
+                    if len(seen) == full:
+                        return tables + new
+        frontier = set(range(len(tables), len(tables) + len(new)))
+        tables.extend(new)
+    return tables
+
+
+def assert_same_order(universe, gens, bound, cap=None):
+    pairs = [(g.arity, g.table) for g in gens]
+    kwargs = {} if cap is None else {"member_cap": cap}
+    try:
+        expected = [naive_layer(universe.size, pairs, j, cap) for j in range(1, bound + 1)]
+    except OracleCap as exc:
+        with pytest.raises(ResourceCapExceeded) as info:
+            generate(gens, bound, universe=universe, **kwargs)
+        assert str(info.value) == str(exc)
+        return
+    fragment = generate(gens, bound, universe=universe, **kwargs)
+    for j, tables in enumerate(expected, start=1):
+        assert [op.table for op in fragment.members[j]] == tables, (gens, j)
+
+
+def test_every_small_u2_set_matches_naive_order(u2):
+    ops = list(all_operations(u2, 1)) + list(all_operations(u2, 2))
+    for r in (0, 1, 2):
+        for gens in itertools.combinations(ops, r):
+            assert_same_order(u2, list(gens), 3)
+
+
+def test_ternary_generators_match_naive_order(u2, u3):
+    rng = random.Random(7)
+    for universe in (u2, u3):
+        m = universe.size
+        for _ in range(4):
+            g = Operation(universe, 3, tuple(rng.randrange(m) for _ in range(m ** 3)))
+            h = Operation(universe, 1, tuple(rng.randrange(m) for _ in range(m)))
+            assert_same_order(universe, [g], 2, cap=400)
+            assert_same_order(universe, [h, g], 2, cap=400)
+
+
+def test_seeded_u3_binary_sets_match_naive_order_under_cap(u3):
+    rng = random.Random(2024)
+    capped = 0
+    for _ in range(40):
+        gens = [
+            Operation(u3, 2, tuple(rng.randrange(3) for _ in range(9)))
+            for _ in range(rng.choice((1, 2)))
+        ]
+        try:
+            naive_layer(3, [(2, g.table) for g in gens], 2, 150)
+        except OracleCap:
+            capped += 1
+        assert_same_order(u3, gens, 2, cap=150)
+    # Both outcomes occur, so the cap message and the member order are
+    # each compared.
+    assert 0 < capped < 40
+
+
+def test_one_element_universe_matches_naive_order():
+    u1 = Universe(1)
+    assert_same_order(u1, [], 3)
+    assert_same_order(u1, [Operation(u1, 2, (0,))], 3)
+
+
+def test_full_layers(u2, gates):
+    fragment = generate([gates["nand"]], 3)
+    assert [len(fragment.members[j]) for j in (1, 2, 3)] == [4, 16, 256]
+    # A cap equal to the full layer size is never exceeded.
+    generate([gates["nand"]], 3, member_cap=256)
+    with pytest.raises(ResourceCapExceeded, match="arity-3 fragment exceeded member cap 255"):
+        generate([gates["nand"]], 3, member_cap=255)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -189,6 +190,58 @@ def test_witness_self_validation_random(u3):
         else:
             assert all(row in rel.tuples for row in witness.rows)
             assert witness.image not in rel.tuples
+
+
+def direct_witness(op, rel):
+    """The first failing row matrix of a plain itertools.product scan over
+    the sorted relation tuples, as (rows, image), or None."""
+    m = op.universe.size
+    for rows in itertools.product(sorted(rel.tuples), repeat=op.arity):
+        image = []
+        for args in zip(*rows):
+            idx = 0
+            for a in args:
+                idx = idx * m + a
+            image.append(op.table[idx])
+        if tuple(image) not in rel.tuples:
+            return rows, tuple(image)
+    return None
+
+
+def assert_witness_order(op, rel):
+    expected = direct_witness(op, rel)
+    witness = preservation_witness(op, rel)
+    got = None if witness is None else (witness.rows, witness.image)
+    assert got == expected, (op, rel.arity)
+    assert preserves(op, rel) == (expected is None)
+
+
+def test_witness_order_u2_exhaustive(u2, gates):
+    relations = [rho3(u2), pi4(u2), neq(u2), Relation(u2, 2, frozenset())]
+    relations += [graph(op) for op in list(all_operations(u2, 1))]
+    relations += [graph(gates[name]) for name in ("and", "xor", "nand")]
+    for op in list(all_operations(u2, 1)) + list(all_operations(u2, 2)):
+        for rel in relations:
+            assert_witness_order(op, rel)
+
+
+def test_witness_order_u3_seeded(u3, dual_discriminator):
+    rng = random.Random(300)
+    relations = [rho3(u3), neq(u3), Relation(u3, 3, frozenset())]
+    ops = [Operation(u3, 2, tuple(rng.randrange(3) for _ in range(9))) for _ in range(300)]
+    for op in ops + list(all_operations(u3, 1)):
+        for rel in relations:
+            assert_witness_order(op, rel)
+
+
+def test_witness_order_ternary(u2, u3, gates, dual_discriminator):
+    rng = random.Random(3)
+    ops = [gates["maj"], dual_discriminator]
+    ops += [Operation(u2, 3, tuple(rng.randrange(2) for _ in range(8))) for _ in range(20)]
+    for op in ops:
+        universe = op.universe
+        for rel in (rho3(universe), pi4(universe), neq(universe)):
+            assert_witness_order(op, rel)
 
 
 def test_near_unanimity(u2, u3, gates, dual_discriminator):
