@@ -11,11 +11,17 @@ A certificate envelope carries the kind, the payload, a content hash of
 the input files, and a hash of the envelope itself, so any byte-level
 tampering is detected even when the altered payload would still be
 mathematically consistent.
+
+`run(argv, out=...)` is the in-process entry point: it writes the same
+stdout and returns the same exit code as the `clonelab` command. It parses
+with one parser per process, built on the first call and only read after
+that, so a long run of queries pays for the argument tree once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -124,6 +130,26 @@ def _load_generators(path: str):
         return [finite_core.operation_from_json(o, universe) for o in ops_json], universe
     except (KeyError, TypeError) as exc:
         raise CliInputError(f"bad generators file {path}: field error: {exc}")
+
+
+def _load_moved_map(path: str) -> dict[int, int]:
+    """The integer map under the "moved" key of a permutation-shaped file;
+    a missing key is the empty map."""
+    data = load_json(path)
+    moved = data.get("moved", {}) if isinstance(data, dict) else None
+    if not isinstance(moved, dict):
+        raise CliInputError(f"bad map file {path}: expected an object with a \"moved\" map")
+    try:
+        return {int(k): int(v) for k, v in moved.items()}
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f"bad map file {path}: field error: {exc}")
+
+
+def _load_permutation(path: str) -> symbolic_perms.FinSuppPermutation:
+    try:
+        return symbolic_perms.FinSuppPermutation(_load_moved_map(path))
+    except ValueError as exc:
+        raise CliInputError(f"bad permutation file {path}: {exc}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -273,9 +299,12 @@ def _cmd_detect(args, out) -> int:
         op = _load_operation(args.op)
         if args.left_size is None or args.right_size is None:
             raise CliInputError("product detection needs --left-size and --right-size")
-        pu = structure_detect.ProductUniverse(
-            finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
-        )
+        try:
+            pu = structure_detect.ProductUniverse(
+                finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
+            )
+        except ValueError as exc:
+            raise CliInputError(str(exc))
         if op.universe.size != pu.paired.size:
             raise CliInputError("operation universe does not match the product sizes")
         split = structure_detect.decompose_product(pu, op)
@@ -350,13 +379,13 @@ def _require(args, *names) -> None:
 def _cmd_perm(args, out) -> int:
     if args.what == "parity":
         _require(args, "perm")
-        p = symbolic_perms.permutation_from_json(load_json(args.perm))
+        p = _load_permutation(args.perm)
         _emit(out, {"parity": symbolic_perms.parity(p)})
         return 0
 
     if args.what == "alt":
         _require(args, "perm")
-        p = symbolic_perms.permutation_from_json(load_json(args.perm))
+        p = _load_permutation(args.perm)
         if args.support is not None:
             members = symbolic_perms.in_alt_B(p, _parse_point_list(args.support))
         else:
@@ -380,8 +409,7 @@ def _cmd_perm(args, out) -> int:
 
     if args.what == "altb-check":
         _require(args, "map", "support", "window")
-        data = load_json(args.map)
-        moved = {int(k): int(v) for k, v in data.get("moved", {}).items()}
+        moved = _load_moved_map(args.map)
         support = _parse_point_list(args.support)
         probes = [x for x in range(args.window) if x not in set(support)]
         member = symbolic_perms.alt_B_locally_closed_check(moved, support, probes)
@@ -440,10 +468,9 @@ def _cmd_module(args, out) -> int:
         return 0
 
     if args.what == "demo":
-        F = simple_module.field_of_order(args.field)
-        rng = random.Random(args.seed)
         try:
-            inst = simple_module.random_instance(F, args.dim, rng)
+            F = simple_module.field_of_order(args.field)
+            inst = simple_module.random_instance(F, args.dim, random.Random(args.seed))
         except ValueError as exc:
             raise CliInputError(str(exc))
         result = simple_module.instance_to_json(inst)
@@ -783,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck an emitted certificate")
     p.add_argument("certificate")
-    p.add_argument("--inputs", nargs="*", default=[])
+    p.add_argument("--inputs", nargs="*")
 
     return parser
 
@@ -801,11 +828,18 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses, built once per process. Parsing leaves it
+    unchanged: every call gets a fresh namespace, and no default is mutable."""
+    return build_parser()
+
+
 def run(argv, out=None) -> int:
     """Entry point suitable for in-process use; prints canonical JSON to
     `out` (default: stdout) and returns the exit code."""
     out = out or sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

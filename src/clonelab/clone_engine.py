@@ -74,7 +74,10 @@ class CloneFragment:
 
 
 def projections(universe: Universe, arity: int) -> list[Operation]:
-    return [projection(universe, arity, i) for i in range(arity)]
+    """The distinct j-ary projections: all j of them, or one on a
+    one-element universe, where every projection has the same table."""
+    count = arity if universe.size > 1 else 1
+    return [projection(universe, arity, i) for i in range(count)]
 
 
 def generate(

@@ -215,6 +215,8 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
     the lowest-index block outside the subfamily; otherwise the identity
     already agrees.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if a == b:
         raise ValueError("need two distinct moved points")
     if a >= window or b >= window or a < 0 or b < 0:

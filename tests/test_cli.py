@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clonelab
+from clonelab import cli
 from clonelab.cli import check_certificate, run
 
 
@@ -337,3 +343,88 @@ def test_gen_malformed_generators_are_input_errors(tmp_path, generators):
     code, result, _ = invoke(["gen", "--generators", str(path), "--arity-bound", "2"])
     assert code == 1
     assert result["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["perm", "parity", "--perm", "{p}"], {"p": {"moved": {"0": 1, "1": 2}}}),
+        (["perm", "parity", "--perm", "{p}"], {"p": [[0, 1], [1, 0]]}),
+        (["module", "demo", "--field", "6"], {}),
+        (
+            ["detect", "product", "--op", "{op}", "--left-size", "0", "--right-size", "2"],
+            {"op": {"arity": 1, "table": [1, 0]}},
+        ),
+        (
+            ["perm", "altb-check", "--map", "{m}", "--support", "0,1", "--window", "4"],
+            {"m": {"moved": {"0": "one", "1": 0}}},
+        ),
+        (["perm", "cover-witness", "--k", "-1", "--a", "0", "--b", "1", "--window", "6"], {}),
+    ],
+    ids=[
+        "parity-non-bijective",
+        "parity-json-list",
+        "module-demo-field-6",
+        "product-left-size-0",
+        "altb-check-non-integer",
+        "cover-witness-negative-k",
+    ],
+)
+def test_malformed_arguments_are_input_errors(tmp_path, argv, files):
+    paths = {}
+    for key, obj in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(obj))
+    code, result, _ = invoke([arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert result["error"]["type"] == "input"
+
+
+def test_run_builds_the_parser_once(workdir, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(10):
+        code, _, _ = invoke(
+            ["member", "--op", workdir["not"], "--fragment", workdir["notfrag"]]
+        )
+        assert code == 0
+    assert len(builds) <= 1
+
+
+def test_failed_calls_leave_the_next_call_unchanged(workdir):
+    interp = ["interp", "--target", workdir["not"], "--fragment", workdir["nandfrag"]]
+    first = invoke(interp + ["--lambda", "2"])
+    assert first[0] == 0
+    assert invoke(interp + ["--lambda", "x"])[0] == 1
+    missing = str(workdir["dir"] / "missing.json")
+    assert invoke(["interp", "--target", missing, "--fragment", workdir["nandfrag"],
+                   "--lambda", "2"])[0] == 1
+    capped = invoke(["gen", "--generators", workdir["nand_gens"], "--arity-bound", "2",
+                     "--member-cap", "3"])
+    assert capped[0] == 2 and capped[1]["error"]["type"] == "resource_cap"
+    assert invoke(interp + ["--lambda", "2"]) == first
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_python_dash_m_matches_in_process_run(workdir):
+    argv = ["gen", "--generators", workdir["nand_gens"], "--arity-bound", "2"]
+    src = str(Path(clonelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "clonelab", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, _, text = invoke(argv)
+    assert (proc.returncode, proc.stdout) == (code, text)

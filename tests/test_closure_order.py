@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from clonelab.clone_engine import generate
+from clonelab.clone_engine import generate, projection_fragment
 from clonelab.finite_core import Operation, ResourceCapExceeded, Universe, all_operations
 
 
@@ -26,7 +26,9 @@ def naive_layer(m, gens, j, cap=None):
     """The arity-j member tables of the clone generated by gens, a list of
     (arity, table) pairs, in insertion order."""
     points = list(itertools.product(range(m), repeat=j))
-    tables = [tuple(p[i] for p in points) for i in range(j)]
+    # The distinct projection tables, first occurrence first: on one
+    # element all j projections share a table.
+    tables = list(dict.fromkeys(tuple(p[i] for p in points) for i in range(j)))
     seen = set(tables)
     full = m ** len(points)
     frontier = set(range(len(tables)))
@@ -107,6 +109,11 @@ def test_one_element_universe_matches_naive_order():
     u1 = Universe(1)
     assert_same_order(u1, [], 3)
     assert_same_order(u1, [Operation(u1, 2, (0,))], 3)
+    # Operations are canonical by their tables, and every arity has one.
+    for gens in ([], [Operation(u1, 2, (0,))]):
+        fragment = generate(gens, 3, universe=u1)
+        assert [len(fragment.members[j]) for j in (1, 2, 3)] == [1, 1, 1]
+    assert [len(ops) for ops in projection_fragment(u1, 3).members.values()] == [1, 1, 1]
 
 
 def test_full_layers(u2, gates):
