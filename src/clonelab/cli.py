@@ -254,7 +254,9 @@ def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
             _parse_subset_key(key): finite_core.Operation(
                 universe, f.arity, tuple(int(x) for x in table)
             )
-            for key, table in data["base_interpolants"].items()
+            for key, table in finite_core.object_from_json(
+                data["base_interpolants"], "base_interpolants"
+            ).items()
         }
         return baker_pixley.BPInstance(f, h, cover, base)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -579,9 +581,14 @@ def _recheck_alt_cover(payload, inputs) -> tuple[bool, str]:
         )
         interpolants = {
             _parse_subset_key(key): symbolic_perms.FinSuppPermutation(
-                {int(k): int(v) for k, v in moved.items()}
+                {
+                    int(k): int(v)
+                    for k, v in finite_core.object_from_json(moved, "moved map").items()
+                }
             )
-            for key, moved in payload["interpolants"].items()
+            for key, moved in finite_core.object_from_json(
+                payload["interpolants"], "interpolants"
+            ).items()
         }
         witness = symbolic_perms.AltCoverWitness(
             int(payload["k"]), int(payload["a"]), int(payload["b"]), cover, interpolants

@@ -398,9 +398,28 @@ def _infer_size(table_len: int, arity: int) -> int:
     raise ValueError(f"table length {table_len} is not a perfect {arity}-th power")
 
 
+def table_from_json(entries) -> tuple[int, ...]:
+    """A JSON operation table: a list of integers. Floats, booleans and
+    strings are rejected rather than coerced, since int() would truncate
+    1.5 and read true as 1."""
+    if not isinstance(entries, list):
+        raise ValueError(f"table must be a list of integers, got {type(entries).__name__}")
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"table entry {x!r} is not an integer")
+    return tuple(entries)
+
+
+def object_from_json(value, what: str) -> dict:
+    """value if it is a JSON object, else a ValueError naming what."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def operation_from_json(data: dict, universe: Universe | None = None) -> Operation:
     arity = int(data["arity"])
-    table = tuple(int(x) for x in data["table"])
+    table = table_from_json(data["table"])
     if universe is None:
         if "universe" in data:
             universe = universe_from_json(data["universe"])

@@ -23,7 +23,13 @@ import itertools
 from dataclasses import dataclass
 
 from .clone_engine import CloneFragment, contains
-from .finite_core import Operation, ResourceCapExceeded, Universe, all_operations
+from .finite_core import (
+    Operation,
+    ResourceCapExceeded,
+    Universe,
+    all_operations,
+    object_from_json,
+)
 from .interpolation import _max_lambda, agreement_mask
 
 DEFAULT_MATRIX_CAP = 4096
@@ -448,7 +454,7 @@ def dagger_from_json(data: dict) -> DaggerCertificate:
     )
     cover = Cover(universe, n, blocks)
     interpolants = {}
-    for key, table in data["interpolants"].items():
+    for key, table in object_from_json(data["interpolants"], "interpolants").items():
         indices = frozenset(int(b) for b in key.split(",")) if key else frozenset()
         interpolants[indices] = Operation(universe, n, tuple(int(x) for x in table))
     return DaggerCertificate(cover, int(data["lambda"]), interpolants)

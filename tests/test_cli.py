@@ -428,3 +428,101 @@ def test_python_dash_m_matches_in_process_run(workdir):
     )
     code, _, text = invoke(argv)
     assert (proc.returncode, proc.stdout) == (code, text)
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["member", "interp", "ultra"])
+def test_fragment_with_members_list_is_input_error(workdir, command):
+    fragment = json.loads(Path(workdir["notfrag"]).read_text())
+    fragment["members"] = list(fragment["members"].values())
+    bad = write_json(workdir["dir"], "members_list.json", fragment)
+    argv = {
+        "member": ["member", "--op", workdir["not"], "--fragment", bad],
+        "interp": ["interp", "--target", workdir["not"], "--fragment", bad, "--lambda", "1"],
+        "ultra": ["ultra", "--target", workdir["not"], "--fragment", bad, "--lambda", "1"],
+    }[command]
+    code, result, _ = invoke(argv)
+    assert code == 1
+    assert result["error"]["type"] == "input"
+    assert "members must be an object" in result["error"]["message"]
+
+
+def test_bp_instance_with_base_interpolants_list_is_input_error(tmp_path):
+    instance = {
+        "universe": {"size": 2},
+        "f": {"arity": 1, "table": [1, 0]},
+        "h": {"arity": 3, "table": [0, 0, 0, 1, 0, 1, 1, 1]},
+        "cover": [[0], [1]],
+        "base_interpolants": [[0, 1], [1, 1], [0, 0], [1, 0]],
+    }
+    path = write_json(tmp_path, "bp_list.json", instance)
+    code, result, _ = invoke(["bp", "--instance", path])
+    assert code == 1
+    assert result["error"]["type"] == "input"
+    assert "base_interpolants must be an object" in result["error"]["message"]
+
+
+def test_verify_dagger_with_interpolants_list_is_invalid(workdir):
+    cert_path = str(workdir["dir"] / "dagger.json")
+    code, _, _ = invoke(
+        ["ultra", "--target", workdir["not"], "--fragment", workdir["nandfrag"],
+         "--lambda", "2", "--cert", cert_path]
+    )
+    assert code == 0
+    payload = json.loads(Path(cert_path).read_text())["payload"]
+    payload["interpolants"] = list(payload["interpolants"].values())
+    inputs = [workdir["not"], workdir["nandfrag"]]
+    forged = write_json(
+        workdir["dir"], "forged.json", cli.make_certificate("dagger", payload, inputs)
+    )
+    code, verdict, _ = invoke(["verify", forged, "--inputs", *inputs])
+    assert code == 0 and verdict["valid"] is False
+    assert "interpolants must be an object" in verdict["reason"]
+
+
+@pytest.mark.parametrize("shape", ["interpolants-list", "moved-map-list"])
+def test_verify_alt_cover_with_list_shapes_is_invalid(tmp_path, shape):
+    cert_path = str(tmp_path / "alt.json")
+    code, _, _ = invoke(
+        ["perm", "cover-witness", "--k", "2", "--a", "0", "--b", "1", "--window", "6",
+         "--cert", cert_path]
+    )
+    assert code == 0
+    payload = json.loads(Path(cert_path).read_text())["payload"]
+    if shape == "interpolants-list":
+        payload["interpolants"] = list(payload["interpolants"].values())
+        expected = "interpolants must be an object"
+    else:
+        key = next(iter(payload["interpolants"]))
+        payload["interpolants"][key] = [[0, 1], [1, 0]]
+        expected = "moved map must be an object"
+    forged = write_json(tmp_path, "forged.json", cli.make_certificate("alt_cover", payload, []))
+    code, verdict, _ = invoke(["verify", forged])
+    assert code == 0 and verdict["valid"] is False
+    assert expected in verdict["reason"]
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("loader", ["operation", "fragment", "generators"])
+def test_non_integer_table_entries_are_input_errors(workdir, loader, entry):
+    table = [entry, 0, 0, 1]
+    if loader == "operation":
+        bad = write_json(workdir["dir"], "op.json", {"arity": 2, "table": table})
+        argv = ["member", "--op", bad, "--fragment", workdir["nandfrag"]]
+    elif loader == "fragment":
+        fragment = json.loads(Path(workdir["nandfrag"]).read_text())
+        fragment["members"]["2"][-1] = table
+        bad = write_json(workdir["dir"], "frag.json", fragment)
+        argv = ["member", "--op", workdir["and"], "--fragment", bad]
+    else:
+        bad = write_json(workdir["dir"], "gens.json", [{"arity": 2, "table": table}])
+        argv = ["gen", "--generators", bad, "--arity-bound", "2"]
+    code, result, _ = invoke(argv)
+    assert code == 1
+    assert result["error"]["type"] == "input"
+    assert "is not an integer" in result["error"]["message"]

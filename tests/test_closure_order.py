@@ -15,7 +15,13 @@ import random
 import pytest
 
 from clonelab.clone_engine import generate, projection_fragment
-from clonelab.finite_core import Operation, ResourceCapExceeded, Universe, all_operations
+from clonelab.finite_core import (
+    Operation,
+    ResourceCapExceeded,
+    Universe,
+    all_operations,
+    operation_from_callable,
+)
 
 
 class OracleCap(Exception):
@@ -87,6 +93,47 @@ def test_ternary_generators_match_naive_order(u2, u3):
             assert_same_order(universe, [h, g], 2, cap=400)
 
 
+def test_four_ary_u2_generators_match_naive_order(u2):
+    # Fold depth 3: the bitmask kernel splits each prefix into 8 parts.
+    rng = random.Random(11)
+    gens = [
+        operation_from_callable(u2, 4, lambda a, b, c, d: (a & b) | (c & d)),
+        operation_from_callable(u2, 4, lambda a, b, c, d: a ^ (b & c & d)),
+    ] + [Operation(u2, 4, tuple(rng.randrange(2) for _ in range(16))) for _ in range(3)]
+    for g in gens:
+        assert_same_order(u2, [g], 2)
+
+
+def test_ternary_u2_generators_at_bound_3_match_naive_order(u2, gates):
+    # 8-point tables: masks of one byte.
+    for fn in (
+        lambda a, b, c: a ^ b ^ c,
+        lambda a, b, c: a ^ b ^ c ^ 1,
+        lambda a, b, c: a & b & c,
+        lambda a, b, c: a & (b | c),
+        lambda a, b, c: a | (b & c),
+        lambda a, b, c: (a & b) | ((1 - a) & c),
+    ):
+        assert_same_order(u2, [operation_from_callable(u2, 3, fn)], 3)
+    assert_same_order(u2, [gates["maj"]], 3)
+    assert_same_order(u2, [gates["not"], gates["maj"]], 3)
+
+
+def test_unary_only_u2_sets_match_naive_order(u2):
+    # A unary generator has no prefix to fold.
+    unary = list(all_operations(u2, 1))
+    for r in (1, 2, 3):
+        for gens in itertools.combinations(unary, r):
+            assert_same_order(u2, list(gens), 4)
+
+
+def test_capped_u2_run_matches_naive_message(u2, gates):
+    gens = [gates["and"], gates["xor"]]
+    with pytest.raises(OracleCap, match="^arity-4 fragment exceeded member cap 300$"):
+        naive_layer(2, [(g.arity, g.table) for g in gens], 4, 300)
+    assert_same_order(u2, gens, 4, cap=300)
+
+
 def test_seeded_u3_binary_sets_match_naive_order_under_cap(u3):
     rng = random.Random(2024)
     capped = 0
@@ -123,3 +170,10 @@ def test_full_layers(u2, gates):
     generate([gates["nand"]], 3, member_cap=256)
     with pytest.raises(ResourceCapExceeded, match="arity-3 fragment exceeded member cap 255"):
         generate([gates["nand"]], 3, member_cap=255)
+
+
+def test_nand_at_bound_4_stops_at_its_cap(gates):
+    with pytest.raises(
+        ResourceCapExceeded, match="^arity-4 fragment exceeded member cap 24000$"
+    ):
+        generate([gates["nand"]], 4, member_cap=24000)
