@@ -29,7 +29,7 @@ import sys
 
 from . import baker_pixley, clone_engine, finite_core, simple_module, structure_detect
 from . import symbolic_perms, ultralocal
-from .finite_core import ResourceCapExceeded
+from .finite_core import ResourceCapExceeded, int_from_json, table_from_json
 from .interpolation import InterpolationQuery, is_lambda_interpolable
 
 CERT_KINDS = (
@@ -102,14 +102,6 @@ def _load_fragment(path: str) -> clone_engine.CloneFragment:
         raise CliInputError(f"bad fragment file {path}: field error: {exc}")
 
 
-def _load_relation(path: str) -> finite_core.Relation:
-    data = load_json(path)
-    try:
-        return finite_core.relation_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad relation file {path}: field error: {exc}")
-
-
 def _load_generators(path: str):
     """(generators, universe or None) from a list of operations or an
     object {"universe": ..., "operations": [...]}. Value errors in the
@@ -159,14 +151,6 @@ def _write_json(path: str, obj) -> None:
 
 def _emit(out, obj) -> None:
     out.write(canonical_json(obj) + "\n")
-
-
-def _subset_key(indices) -> str:
-    return ",".join(str(i) for i in sorted(indices))
-
-
-def _parse_subset_key(key: str) -> frozenset[int]:
-    return frozenset(int(x) for x in key.split(",")) if key else frozenset()
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -245,14 +229,10 @@ def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
         universe = finite_core.universe_from_json(data["universe"])
         f = finite_core.operation_from_json(data["f"], universe)
         h = finite_core.operation_from_json(data["h"], universe)
-        domain = ultralocal.domain_points(universe, f.arity)
-        blocks = tuple(
-            frozenset(domain[int(i)] for i in block) for block in data["cover"]
-        )
-        cover = ultralocal.Cover(universe, f.arity, blocks)
+        cover = ultralocal.cover_from_json(universe, f.arity, data["cover"])
         base = {
-            _parse_subset_key(key): finite_core.Operation(
-                universe, f.arity, tuple(int(x) for x in table)
+            ultralocal.parse_subset_key(key): finite_core.Operation(
+                universe, f.arity, table_from_json(table)
             )
             for key, table in finite_core.object_from_json(
                 data["base_interpolants"], "base_interpolants"
@@ -429,7 +409,7 @@ def _alt_cover_payload(witness) -> dict:
         "window": witness.cover.window,
         "blocks": [sorted(block) for block in witness.cover.blocks],
         "interpolants": {
-            _subset_key(key): {str(k): v for k, v in sorted(p.moved.items())}
+            ultralocal.subset_key(key): {str(k): v for k, v in sorted(p.moved.items())}
             for key, p in witness.interpolants.items()
         },
     }
@@ -495,8 +475,6 @@ def _recheck_dagger(payload, inputs) -> tuple[bool, str]:
         cert = ultralocal.dagger_from_json(payload)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return False, f"unusable payload: {exc}"
-    if cert.lam != payload.get("lambda"):
-        return False, "inconsistent level"
     if ultralocal.verify_dagger_certificate(cert, target, fragment):
         return True, ""
     return False, "certificate fails recheck"
@@ -552,16 +530,12 @@ def _recheck_product(payload, inputs) -> tuple[bool, str]:
     op = _load_operation(inputs[0])
     try:
         pu = structure_detect.ProductUniverse(
-            finite_core.Universe(int(payload["left_size"])),
-            finite_core.Universe(int(payload["right_size"])),
+            finite_core.Universe(int_from_json(payload["left_size"], "left_size")),
+            finite_core.Universe(int_from_json(payload["right_size"], "right_size")),
         )
-        arity = int(payload["arity"])
-        f_a = finite_core.Operation(
-            pu.left, arity, tuple(int(x) for x in payload["factor_left"])
-        )
-        f_b = finite_core.Operation(
-            pu.right, arity, tuple(int(x) for x in payload["factor_right"])
-        )
+        arity = int_from_json(payload["arity"], "arity")
+        f_a = finite_core.Operation(pu.left, arity, table_from_json(payload["factor_left"]))
+        f_b = finite_core.Operation(pu.right, arity, table_from_json(payload["factor_right"]))
     except (KeyError, TypeError, ValueError) as exc:
         return False, f"unusable payload: {exc}"
     if op.arity != arity or op.universe.size != pu.paired.size:
@@ -580,7 +554,7 @@ def _recheck_alt_cover(payload, inputs) -> tuple[bool, str]:
             tuple(frozenset(int(x) for x in block) for block in payload["blocks"]),
         )
         interpolants = {
-            _parse_subset_key(key): symbolic_perms.FinSuppPermutation(
+            ultralocal.parse_subset_key(key): symbolic_perms.FinSuppPermutation(
                 {
                     int(k): int(v)
                     for k, v in finite_core.object_from_json(moved, "moved map").items()
@@ -632,8 +606,8 @@ def _recheck_preservation(payload, inputs) -> tuple[bool, str]:
     op = _load_operation(inputs[0])
     try:
         rel = finite_core.relation_from_json(payload["relation"], op.universe)
-        rows = [tuple(int(x) for x in r) for r in payload["rows"]]
-        image = tuple(int(x) for x in payload["image"])
+        rows = [table_from_json(r, "witness row") for r in payload["rows"]]
+        image = table_from_json(payload["image"], "witness image")
         cert_op = finite_core.operation_from_json(payload["operation"], op.universe)
     except (KeyError, TypeError, ValueError) as exc:
         return False, f"unusable payload: {exc}"

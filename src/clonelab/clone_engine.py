@@ -45,6 +45,8 @@ from .finite_core import (
     Universe,
     all_operations,
     all_relations,
+    int_from_json,
+    int_from_json_key,
     object_from_json,
     offset_lookup,
     prefix_folds,
@@ -320,16 +322,16 @@ def fragment_to_json(fragment: CloneFragment) -> dict:
 
 def fragment_from_json(data: dict) -> CloneFragment:
     universe = universe_from_json(data["universe"])
-    bound = int(data["arity_bound"])
+    bound = int_from_json(data["arity_bound"], "arity_bound")
     members = {}
     for key, tables in object_from_json(data["members"], "members").items():
-        j = int(key)
+        j = int_from_json_key(key, "members arity")
         members[j] = tuple(Operation(universe, j, table_from_json(t)) for t in tables)
     for j in range(1, bound + 1):
         if j not in members:
             raise ValueError(f"fragment JSON missing members of arity {j}")
     generators = tuple(
-        Operation(universe, int(g["arity"]), table_from_json(g["table"]))
+        Operation(universe, int_from_json(g["arity"], "arity"), table_from_json(g["table"]))
         for g in data.get("generators", [])
     )
     if not generators:

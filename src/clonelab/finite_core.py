@@ -381,7 +381,7 @@ def universe_to_json(universe: Universe) -> dict:
 
 def universe_from_json(data: dict) -> Universe:
     labels = tuple(data["labels"]) if "labels" in data else None
-    return Universe(int(data["size"]), labels)
+    return Universe(int_from_json(data["size"], "universe size"), labels)
 
 
 def operation_to_json(op: Operation) -> dict:
@@ -398,15 +398,30 @@ def _infer_size(table_len: int, arity: int) -> int:
     raise ValueError(f"table length {table_len} is not a perfect {arity}-th power")
 
 
-def table_from_json(entries) -> tuple[int, ...]:
-    """A JSON operation table: a list of integers. Floats, booleans and
-    strings are rejected rather than coerced, since int() would truncate
-    1.5 and read true as 1."""
+def int_from_json(value, what: str) -> int:
+    """A JSON integer. Floats, booleans and strings are rejected rather
+    than coerced, since int() would truncate 2.7 and read true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def int_from_json_key(key: str, what: str) -> int:
+    """A nonnegative integer spelled as a JSON object key: plain ASCII
+    digits only, since int() also accepts " 1", "+1" and "1_0"."""
+    if not (key.isascii() and key.isdigit()):
+        raise ValueError(f"{what} {key!r} is not a decimal index")
+    return int(key)
+
+
+def table_from_json(entries, what: str = "table") -> tuple[int, ...]:
+    """A JSON list of integers, such as an operation table, checked as
+    int_from_json checks one value."""
     if not isinstance(entries, list):
-        raise ValueError(f"table must be a list of integers, got {type(entries).__name__}")
+        raise ValueError(f"{what} must be a list of integers, got {type(entries).__name__}")
     for x in entries:
         if type(x) is not int:
-            raise ValueError(f"table entry {x!r} is not an integer")
+            raise ValueError(f"{what} entry {x!r} is not an integer")
     return tuple(entries)
 
 
@@ -418,7 +433,7 @@ def object_from_json(value, what: str) -> dict:
 
 
 def operation_from_json(data: dict, universe: Universe | None = None) -> Operation:
-    arity = int(data["arity"])
+    arity = int_from_json(data["arity"], "arity")
     table = table_from_json(data["table"])
     if universe is None:
         if "universe" in data:
@@ -433,8 +448,8 @@ def relation_to_json(rel: Relation) -> dict:
 
 
 def relation_from_json(data: dict, universe: Universe | None = None) -> Relation:
-    arity = int(data["arity"])
-    tuples = frozenset(tuple(int(x) for x in t) for t in data["tuples"])
+    arity = int_from_json(data["arity"], "arity")
+    tuples = frozenset(table_from_json(t, "relation tuple") for t in data["tuples"])
     if universe is None:
         if "universe" in data:
             universe = universe_from_json(data["universe"])

@@ -59,14 +59,13 @@ def is_lambda_interpolable(query: InterpolationQuery) -> InterpolationVerdict:
     """Decide interpolability on all subsets of size min(lam, |domain|).
 
     The witness, when present, is the lexicographically least failing
-    subset of domain points.
+    subset of domain points. At size 0 the one subset is the empty set,
+    which fails exactly when the target's arity layer has no members.
     """
     target = query.target
     n = target.arity
     domain = list(target.universe.tuples(n))
     size = min(query.lam, len(domain))
-    if size == 0:
-        return InterpolationVerdict(True, None)
     masks = [
         agreement_mask(target, t) for t in query.fragment.members[n]
     ]

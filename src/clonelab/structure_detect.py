@@ -23,7 +23,6 @@ from .finite_core import (
     rho3,
 )
 from .interpolation import local_closure_fragment
-from .ultralocal import ultra_closure_fragment
 
 
 # --- primitive positive formulas -------------------------------------------
@@ -292,20 +291,16 @@ def closure_commutation_check(
     Q: CloneFragment,
     kappa,
     arity_bound: int,
-    closure: str = "ultra",
 ) -> bool:
     """Compare closing the product against the product of the closures,
-    as an exact fragment equality at the given arity bound."""
-    if closure == "ultra":
-        close = ultra_closure_fragment
-    elif closure == "local":
-        close = local_closure_fragment
-    else:
-        raise ValueError(f"unknown closure kind {closure!r}")
+    as an exact fragment equality at the given arity bound. The closure is
+    the local one, which on a finite set is also the cover-condition one."""
     product = product_clone(P, Q, arity_bound)
-    left_side = close(product, kappa, arity_bound)
+    left_side = local_closure_fragment(product, kappa, arity_bound)
     right_side = product_clone(
-        close(P, kappa, arity_bound), close(Q, kappa, arity_bound), arity_bound
+        local_closure_fragment(P, kappa, arity_bound),
+        local_closure_fragment(Q, kappa, arity_bound),
+        arity_bound,
     )
     return fragments_equal(left_side, right_side)
 

@@ -15,6 +15,13 @@ The certificate exists exactly when finitely many of those matrix sets
 cover everything, i.e. when their complements fail the finite
 intersection property. Both routes are implemented independently and
 cross-checked in the test suite.
+
+The closure the cover condition induces is the local closure of
+`interpolation`, because on a finite domain the condition at level lam
+holds exactly when f is lam-interpolable: the all-singletons cover turns
+interpolability into a certificate, and conversely any lam points lie in
+at most lam blocks of a witnessing cover, whose interpolant agrees with f
+on all of them. `ultra_closure_fragment` therefore calls that kernel.
 """
 
 from __future__ import annotations
@@ -22,15 +29,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .clone_engine import CloneFragment, contains
+from .clone_engine import CloneFragment
 from .finite_core import (
     Operation,
     ResourceCapExceeded,
     Universe,
-    all_operations,
+    int_from_json,
+    int_from_json_key,
     object_from_json,
+    table_from_json,
 )
-from .interpolation import _max_lambda, agreement_mask
+from .interpolation import agreement_mask, local_closure_fragment
 
 DEFAULT_MATRIX_CAP = 4096
 
@@ -97,24 +106,6 @@ class DaggerSearchOutcome:
         return self.certificate is not None
 
 
-def domain_points(universe: Universe, arity: int) -> list[tuple[int, ...]]:
-    return list(universe.tuples(arity))
-
-
-def point_index(universe: Universe, point: tuple[int, ...]) -> int:
-    idx = 0
-    for x in point:
-        idx = idx * universe.size + x
-    return idx
-
-
-def _block_mask(universe: Universe, block) -> int:
-    mask = 0
-    for point in block:
-        mask |= 1 << point_index(universe, point)
-    return mask
-
-
 def _members_and_masks(f: Operation, fragment: CloneFragment):
     if f.universe != fragment.universe:
         raise ValueError("target and fragment universes differ")
@@ -138,7 +129,7 @@ def check_dagger(
     if lam < 0:
         raise ValueError("lam must be >= 0")
     members, masks = _members_and_masks(f, fragment)
-    block_masks = [_block_mask(f.universe, b) for b in cover.blocks]
+    block_masks = [sum(1 << f.index_of(p) for p in block) for block in cover.blocks]
     found = _assign_interpolants(members, masks, block_masks, lam)
     if isinstance(found, frozenset):
         return DaggerFailure(cover, lam, found)
@@ -193,7 +184,8 @@ def _partition_masks(rgs: tuple[int, ...]):
     return masks
 
 
-def _cover_from_masks(universe, arity, domain, masks) -> Cover:
+def _cover_from_masks(universe, arity, masks) -> Cover:
+    domain = list(universe.tuples(arity))
     blocks = tuple(
         frozenset(domain[i] for i in range(len(domain)) if mask >> i & 1)
         for mask in masks
@@ -223,53 +215,35 @@ def search_dagger(
     other strategies report "no certificate found" without deciding.
     """
     members, masks = _members_and_masks(f, fragment)
-    n = f.arity
-    domain = domain_points(f.universe, n)
-    npoints = len(domain)
+    npoints = len(f.table)
     if lam < 0:
         raise ValueError("lam must be >= 0")
 
     if strategy == "singletons":
-        block_masks = [1 << i for i in range(npoints)]
-        found = _assign_interpolants(members, masks, block_masks, lam)
-        if isinstance(found, frozenset):
-            return DaggerSearchOutcome(None, False, strategy)
-        cover = _cover_from_masks(f.universe, n, domain, block_masks)
-        return DaggerSearchOutcome(
-            DaggerCertificate(cover, lam, found), False, strategy
-        )
-
-    if strategy == "equalizer_atoms":
-        signatures: dict[tuple[bool, ...], int] = {}
+        candidates = [[1 << i for i in range(npoints)]]
+    elif strategy == "equalizer_atoms":
+        # one block per agreement signature, in order of its lowest point
+        atoms: dict[tuple[bool, ...], int] = {}
         for i in range(npoints):
             sig = tuple(bool(mask >> i & 1) for mask in masks)
-            signatures.setdefault(sig, 0)
-            signatures[sig] |= 1 << i
-        block_masks = sorted(signatures.values(), key=lambda m: m & -m)
-        found = _assign_interpolants(members, masks, block_masks, lam)
-        if isinstance(found, frozenset):
-            return DaggerSearchOutcome(None, False, strategy)
-        cover = _cover_from_masks(f.universe, n, domain, block_masks)
-        return DaggerSearchOutcome(
-            DaggerCertificate(cover, lam, found), False, strategy
-        )
-
-    if strategy == "exhaustive_partitions":
+            atoms[sig] = atoms.get(sig, 0) | 1 << i
+        candidates = [list(atoms.values())]
+    elif strategy == "exhaustive_partitions":
         if max_blocks is None:
             max_blocks = npoints
         if max_blocks < 1:
             raise ValueError("max_blocks must be >= 1")
-        for rgs in restricted_growth_strings(npoints, max_blocks):
-            block_masks = _partition_masks(rgs)
-            found = _assign_interpolants(members, masks, block_masks, lam)
-            if not isinstance(found, frozenset):
-                cover = _cover_from_masks(f.universe, n, domain, block_masks)
-                return DaggerSearchOutcome(
-                    DaggerCertificate(cover, lam, found), False, strategy
-                )
-        return DaggerSearchOutcome(None, max_blocks >= npoints, strategy)
+        candidates = map(_partition_masks, restricted_growth_strings(npoints, max_blocks))
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
 
-    raise ValueError(f"unknown strategy {strategy!r}")
+    for block_masks in candidates:
+        found = _assign_interpolants(members, masks, block_masks, lam)
+        if not isinstance(found, frozenset):
+            cover = _cover_from_masks(f.universe, f.arity, block_masks)
+            return DaggerSearchOutcome(DaggerCertificate(cover, lam, found), False, strategy)
+    disproof = strategy == "exhaustive_partitions" and max_blocks >= npoints
+    return DaggerSearchOutcome(None, disproof, strategy)
 
 
 def verify_dagger_certificate(
@@ -335,7 +309,7 @@ def equalizer_family(
     if lam < 1:
         raise ValueError("equalizer family needs lam >= 1")
     members, masks = _members_and_masks(f, fragment)
-    domain = domain_points(f.universe, f.arity)
+    domain = list(f.universe.tuples(f.arity))
     total = len(domain) ** lam
     if total > cap:
         raise ResourceCapExceeded(
@@ -367,31 +341,13 @@ def fip_holds_lazy(f: Operation, fragment: CloneFragment, lam: int) -> bool:
     if lam < 1:
         raise ValueError("lam must be >= 1")
     members, masks = _members_and_masks(f, fragment)
-    domain = domain_points(f.universe, f.arity)
-    for matrix_indices in itertools.product(range(len(domain)), repeat=lam):
+    for matrix_indices in itertools.product(range(len(f.table)), repeat=lam):
         matrix_mask = 0
         for i in matrix_indices:
             matrix_mask |= 1 << i
         if not any(matrix_mask & ~mask == 0 for mask in masks):
             return True
     return False
-
-
-def ultra_membership(f: Operation, fragment: CloneFragment, kappa) -> bool:
-    """Whether f satisfies the cover condition for every lam < kappa.
-
-    The condition is antitone in lam (a witnessing cover for lam also
-    witnesses every smaller level), so only the largest level is searched;
-    "omega" saturates at |domain| on a finite universe. At the saturated
-    level any witnessing cover has a subfamily of size <= |domain| whose
-    union is the whole domain, so the condition degenerates to table
-    membership and is decided without a partition search.
-    """
-    npoints = f.universe.size ** f.arity
-    lam = _max_lambda(kappa, npoints)
-    if lam >= npoints:
-        return contains(fragment, f)
-    return bool(search_dagger(f, fragment, lam, "exhaustive_partitions"))
 
 
 def ultra_closure_fragment(
@@ -401,20 +357,13 @@ def ultra_closure_fragment(
     op_cap: int = 1 << 20,
 ) -> CloneFragment:
     """All operations of arity <= arity_bound passing the cover condition
-    for every lam < kappa, packaged as a fragment."""
-    if arity_bound > fragment.arity_bound:
-        raise ValueError(
-            "closure fragment bound exceeds the input fragment's arity bound"
-        )
-    members: dict[int, tuple[Operation, ...]] = {}
-    for j in range(1, arity_bound + 1):
-        members[j] = tuple(
-            op
-            for op in all_operations(fragment.universe, j, cap=op_cap)
-            if ultra_membership(op, fragment, kappa)
-        )
-    flat = tuple(op for ops in members.values() for op in ops)
-    return CloneFragment(fragment.universe, arity_bound, flat, members)
+    for every lam < kappa, packaged as a fragment.
+
+    This is the local closure. The all-singletons cover makes every
+    lam-interpolable f pass; any lam points lie in at most lam blocks of
+    a witnessing cover, so every passing f is lam-interpolable.
+    """
+    return local_closure_fragment(fragment, kappa, arity_bound, op_cap)
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -425,36 +374,48 @@ def ultra_closure_fragment(
 # Point indices are lexicographic domain positions; subfamily keys are
 # comma-joined sorted block indices, "" for the empty subfamily.
 
+def subset_key(indices) -> str:
+    return ",".join(str(i) for i in sorted(indices))
+
+
+def parse_subset_key(key: str) -> frozenset[int]:
+    if not key:
+        return frozenset()
+    return frozenset(int_from_json_key(part, "subfamily index") for part in key.split(","))
+
+
+def cover_from_json(universe: Universe, arity: int, blocks) -> Cover:
+    """A cover given as lists of lexicographic domain positions."""
+    domain = list(universe.tuples(arity))
+
+    def point(i) -> tuple[int, ...]:
+        if not 0 <= int_from_json(i, "cover point index") < len(domain):
+            raise ValueError(f"cover point index {i} outside the domain")
+        return domain[i]
+
+    return Cover(universe, arity, tuple(frozenset(map(point, block)) for block in blocks))
+
+
 def dagger_to_json(cert: DaggerCertificate) -> dict:
     universe = cert.cover.universe
-    cover_json = [
-        sorted(point_index(universe, p) for p in block)
-        for block in cert.cover.blocks
-    ]
-    interpolants = {
-        ",".join(str(b) for b in sorted(key)): list(op.table)
-        for key, op in cert.interpolants.items()
-    }
+    index = {p: i for i, p in enumerate(universe.tuples(cert.cover.domain_arity))}
     return {
         "lambda": cert.lam,
         "arity": cert.cover.domain_arity,
         "universe_size": universe.size,
-        "cover": cover_json,
-        "interpolants": interpolants,
+        "cover": [sorted(index[p] for p in block) for block in cert.cover.blocks],
+        "interpolants": {
+            subset_key(key): list(op.table) for key, op in cert.interpolants.items()
+        },
     }
 
 
 def dagger_from_json(data: dict) -> DaggerCertificate:
-    m = int(data["universe_size"])
-    n = int(data["arity"])
-    universe = Universe(m)
-    domain = domain_points(universe, n)
-    blocks = tuple(
-        frozenset(domain[int(i)] for i in block) for block in data["cover"]
-    )
-    cover = Cover(universe, n, blocks)
-    interpolants = {}
-    for key, table in object_from_json(data["interpolants"], "interpolants").items():
-        indices = frozenset(int(b) for b in key.split(",")) if key else frozenset()
-        interpolants[indices] = Operation(universe, n, tuple(int(x) for x in table))
-    return DaggerCertificate(cover, int(data["lambda"]), interpolants)
+    universe = Universe(int_from_json(data["universe_size"], "universe_size"))
+    n = int_from_json(data["arity"], "arity")
+    cover = cover_from_json(universe, n, data["cover"])
+    interpolants = {
+        parse_subset_key(key): Operation(universe, n, table_from_json(table))
+        for key, table in object_from_json(data["interpolants"], "interpolants").items()
+    }
+    return DaggerCertificate(cover, int_from_json(data["lambda"], "lambda"), interpolants)

@@ -526,3 +526,129 @@ def test_non_integer_table_entries_are_input_errors(workdir, loader, entry):
     assert code == 1
     assert result["error"]["type"] == "input"
     assert "is not an integer" in result["error"]["message"]
+
+
+def test_interp_level_zero_needs_a_member_of_the_layer(workdir):
+    empty = write_json(workdir["dir"], "empty.json",
+                       {"universe": {"size": 2}, "arity_bound": 1, "members": {"1": []}})
+    interp = ["interp", "--target", workdir["not"], "--fragment", empty, "--lambda"]
+    assert invoke(interp + ["0"])[:2] == (0, {"result": False, "witness": {"S": []}})
+    assert invoke(interp + ["1"])[:2] == (0, {"result": False, "witness": {"S": [[0]]}})
+    ultra = ["ultra", "--target", workdir["not"], "--fragment", empty, "--lambda", "0"]
+    assert invoke(ultra)[:2] == (0, {"result": False, "disproof": True})
+
+
+def test_gen_with_fractional_arity_is_input_error(tmp_path):
+    bad = write_json(tmp_path, "gens.json", [{"arity": 2.7, "table": [1, 1, 1, 0]}])
+    code, result, _ = invoke(["gen", "--generators", bad, "--arity-bound", "2"])
+    assert code == 1
+    assert "arity 2.7 is not an integer" in result["error"]["message"]
+
+
+def _rename_key(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: f["universe"].update(size=2.9),
+    lambda f: f.update(arity_bound=2.0),
+    lambda f: f["generators"][0].update(arity=2.0),
+    lambda f: _rename_key(f["members"], "1", " 1"),
+    lambda f: _rename_key(f["members"], "1", "+1"),
+], ids=["size", "arity-bound", "generator-arity", "key-space", "key-plus"])
+def test_fragment_integers_are_read_strictly(workdir, edit):
+    fragment = json.loads(Path(workdir["nandfrag"]).read_text())
+    edit(fragment)
+    bad = write_json(workdir["dir"], "frag.json", fragment)
+    code, result, _ = invoke(["member", "--op", workdir["and"], "--fragment", bad])
+    assert code == 1 and result["error"]["type"] == "input"
+
+
+def _forge(directory, cert_path, inputs, edit):
+    """A certificate file with an edited payload and recomputed digests."""
+    cert = json.loads(Path(cert_path).read_text())
+    edit(cert["payload"])
+    return write_json(directory, "forged.json",
+                      cli.make_certificate(cert["kind"], cert["payload"], inputs))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update({"lambda": 2.0}),
+    lambda p: p.update(universe_size=2.0),
+    lambda p: p.update(arity=1.0),
+    lambda p: p["cover"][0].__setitem__(0, 0.0),
+    lambda p: p["interpolants"][""].__setitem__(0, 1.0),
+    lambda p: _rename_key(p["interpolants"], "0", " 0"),
+], ids=["lambda", "universe-size", "arity", "cover-index", "table-entry", "subset-key"])
+def test_verify_dagger_reads_integers_strictly(workdir, edit):
+    cert_path = str(workdir["dir"] / "dagger.json")
+    inputs = [workdir["not"], workdir["nandfrag"]]
+    invoke(["ultra", "--target", inputs[0], "--fragment", inputs[1], "--lambda", "2",
+            "--strategy", "singletons", "--cert", cert_path])
+    assert invoke(["verify", cert_path, "--inputs", *inputs])[1] == {"valid": True}
+    forged = _forge(workdir["dir"], cert_path, inputs, edit)
+    code, verdict, _ = invoke(["verify", forged, "--inputs", *inputs])
+    assert code == 0 and verdict["valid"] is False
+    assert "unusable payload" in verdict["reason"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda i: i["base_interpolants"].update({"": [0.5, 1], "0,1": [1.9, 0]}),
+    lambda i: _rename_key(i["base_interpolants"], "1", "+1"),
+    lambda i: i["cover"][1].__setitem__(0, 1.0),
+    lambda i: i["cover"][1].__setitem__(0, -1),
+], ids=["tables", "subset-key", "cover-index", "cover-index-negative"])
+def test_bp_instance_integers_are_read_strictly(tmp_path, edit):
+    instance = {
+        "universe": {"size": 2},
+        "f": {"arity": 1, "table": [1, 0]},
+        "h": {"arity": 3, "table": [0, 0, 0, 1, 0, 1, 1, 1]},
+        "cover": [[0], [1]],
+        "base_interpolants": {"": [0, 1], "0": [1, 1], "1": [0, 0], "0,1": [1, 0]},
+    }
+    edit(instance)
+    code, result, _ = invoke(["bp", "--instance", write_json(tmp_path, "bp.json", instance)])
+    assert code == 1 and result["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(left_size=2.0),
+    lambda p: p.update(arity=2.0),
+    lambda p: p["factor_left"].__setitem__(0, 0.0),
+], ids=["left-size", "arity", "factor-entry"])
+def test_verify_product_reads_integers_strictly(workdir, edit):
+    op = write_json(workdir["dir"], "star.json",
+                    {"arity": 2, "table": [0, 1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3, 2, 3]})
+    cert_path = str(workdir["dir"] / "prod.json")
+    invoke(["detect", "product", "--op", op, "--left-size", "2", "--right-size", "2",
+            "--cert", cert_path])
+    forged = _forge(workdir["dir"], cert_path, [op], edit)
+    code, verdict, _ = invoke(["verify", forged, "--inputs", op])
+    assert code == 0 and verdict["valid"] is False
+    assert "unusable payload" in verdict["reason"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["rows"][0].__setitem__(0, float(p["rows"][0][0])),
+    lambda p: p["image"].__setitem__(0, float(p["image"][0])),
+    lambda p: p["relation"].update(arity=3.0),
+    lambda p: p["relation"]["tuples"][0].__setitem__(0, 0.0),
+], ids=["row", "image", "relation-arity", "relation-entry"])
+def test_verify_preservation_witness_reads_integers_strictly(workdir, edit):
+    cert_path = str(workdir["dir"] / "pw.json")
+    invoke(["detect", "ess-unary", "--op", workdir["and"], "--cert", cert_path])
+    forged = _forge(workdir["dir"], cert_path, [workdir["and"]], edit)
+    code, verdict, _ = invoke(["verify", forged, "--inputs", workdir["and"]])
+    assert code == 0 and verdict["valid"] is False
+    assert "unusable payload" in verdict["reason"]
+
+
+@pytest.mark.parametrize("key", [" 0", "0_0", "+0", "x"])
+def test_verify_alt_cover_rejects_non_decimal_subset_keys(tmp_path, key):
+    cert_path = str(tmp_path / "alt.json")
+    invoke(["perm", "cover-witness", "--k", "2", "--a", "0", "--b", "1", "--window", "6",
+            "--cert", cert_path])
+    forged = _forge(tmp_path, cert_path, [], lambda p: _rename_key(p["interpolants"], "0", key))
+    code, verdict, _ = invoke(["verify", forged])
+    assert code == 0 and verdict["valid"] is False
+    assert "not a decimal index" in verdict["reason"]

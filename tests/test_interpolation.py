@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clonelab.clone_engine import contains, fragments_equal, generate, inv, pol
+from clonelab.clone_engine import contains, fragment_from_json, fragments_equal, generate, inv, pol
 from clonelab.finite_core import all_operations, superpose
 from clonelab.interpolation import (
     OMEGA,
@@ -148,3 +148,10 @@ def test_closure_bound_validation(u2, gates):
         local_closure_fragment(frag, 2, 2)
     with pytest.raises(ValueError):
         local_closure_membership(gates["and"], frag, "uncountable")
+
+
+def test_lambda_zero_fails_on_an_empty_layer(u2, gates):
+    empty = fragment_from_json({"universe": {"size": 2}, "arity_bound": 1, "members": {"1": []}})
+    verdict = is_lambda_interpolable(InterpolationQuery(gates["not"], empty, 0))
+    assert not verdict.holds and verdict.witness == ()
+    assert not local_closure_membership(gates["not"], empty, 1)

@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from clonelab.clone_engine import contains, fragments_equal, generate
+from clonelab.clone_engine import contains, fragment_from_json, fragments_equal, generate
 from clonelab.finite_core import ResourceCapExceeded, all_operations
 from clonelab.interpolation import (
     OMEGA,
@@ -15,15 +13,14 @@ from clonelab.ultralocal import (
     DaggerCertificate,
     DaggerFailure,
     check_dagger,
+    cover_from_json,
     dagger_from_json,
     dagger_to_json,
-    domain_points,
     equalizer_family,
     fip_holds,
     fip_holds_lazy,
     search_dagger,
     ultra_closure_fragment,
-    ultra_membership,
     verify_dagger_certificate,
 )
 
@@ -206,8 +203,6 @@ def test_ultra_closure_omega_is_identity(u2, gates):
     for gens in [[gates["maj"]], [gates["and"]], [gates["not"]]]:
         frag = generate(gens, 2)
         assert fragments_equal(ultra_closure_fragment(frag, OMEGA, 2), frag)
-        for f in itertools.chain(all_operations(u2, 1), all_operations(u2, 2)):
-            assert ultra_membership(f, frag, OMEGA) == contains(frag, f)
 
 
 def test_ultra_chain(u2, gates):
@@ -220,13 +215,29 @@ def test_ultra_chain(u2, gates):
 
 
 def test_ultra_equals_local_on_finite_universe(u2, gates):
-    for gens in [[gates["maj"]], [gates["not"]], [gates["and"]]]:
-        frag = generate(gens, 2)
-        for kappa in (2, 3, 4, OMEGA):
-            assert fragments_equal(
-                ultra_closure_fragment(frag, kappa, 2),
-                local_closure_fragment(frag, kappa, 2),
-            )
+    """The cover-condition closure, computed here by filtering every table
+    through the exhaustive partition search at the largest level below
+    kappa, equals the local closure member by member, in order."""
+    fragments = [generate(gens, 2) for gens in ([gates["maj"]], [gates["not"]], [gates["and"]])]
+    fragments.append(
+        fragment_from_json({"universe": {"size": 2}, "arity_bound": 1, "members": {"1": []}})
+    )
+    for frag in fragments:
+        for kappa in (1, 2, 3, 4, OMEGA):
+            searched = {}
+            for j in range(1, frag.arity_bound + 1):
+                npoints = u2.size ** j
+                lam = npoints if kappa == OMEGA else min(kappa - 1, npoints)
+                searched[j] = [
+                    op.table
+                    for op in all_operations(u2, j)
+                    if search_dagger(op, frag, lam, "exhaustive_partitions")
+                ]
+            for close in (local_closure_fragment, ultra_closure_fragment):
+                closure = close(frag, kappa, frag.arity_bound)
+                assert {j: [op.table for op in ops] for j, ops in closure.members.items()} == (
+                    searched
+                )
 
 
 def test_dagger_json_round_trip(u2, gates):
@@ -243,4 +254,5 @@ def test_dagger_json_round_trip(u2, gates):
 
 
 def test_domain_points_order(u2):
-    assert domain_points(u2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    cover = cover_from_json(u2, 2, [[0], [1], [2], [3]])
+    assert [sorted(block) for block in cover.blocks] == [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
