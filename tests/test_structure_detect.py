@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clonelab.clone_engine import generate, pol
+from clonelab.clone_engine import fragments_equal, generate, pol
 from clonelab.finite_core import (
     Operation,
     Universe,
@@ -16,6 +16,7 @@ from clonelab.finite_core import (
     projection,
     rho3,
 )
+from clonelab.interpolation import local_closure_fragment
 from clonelab.structure_detect import (
     AbelianGroup,
     PPFormula,
@@ -34,6 +35,7 @@ from clonelab.structure_detect import (
     psi_formula,
     star_operation,
 )
+from clonelab.ultralocal import ultra_closure_fragment
 
 
 def commutes_with_star_direct(pu, f):
@@ -203,10 +205,20 @@ def test_product_clone_members(u2, gates):
     assert len(built.members[1]) == len(P.members[1]) * len(Q.members[1])
 
 
-def test_closure_commutation(u2, gates):
+@pytest.mark.parametrize(
+    "closure", [ultra_closure_fragment, local_closure_fragment], ids=["ultra", "local"]
+)
+def test_closure_commutation(u2, gates, closure):
+    # The identity is checked directly with each closure, the cover-condition
+    # one and the local one, and closure_commutation_check must agree.
     P = generate([], 1, universe=u2)
     Q = generate([gates["not"]], 1)
     for left, right in itertools.product([P, Q], repeat=2):
+        closed_product = closure(product_clone(left, right, 1), 4, 1)
+        product_of_closed = product_clone(
+            closure(left, 4, 1), closure(right, 4, 1), 1
+        )
+        assert fragments_equal(closed_product, product_of_closed)
         assert closure_commutation_check(left, right, 4, 1)
 
 
