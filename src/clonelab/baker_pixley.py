@@ -16,8 +16,11 @@ import itertools
 from dataclasses import dataclass
 
 from .clone_engine import CloneFragment, inv
-from .finite_core import Operation, is_near_unanimity, preserves, superpose
-from .ultralocal import Cover, ultra_closure_fragment
+from .finite_core import (
+    Operation, is_near_unanimity, object_from_json, operation_from_json,
+    parse_subset_key, preserves, subfamilies, superpose, table_from_json, universe_from_json,
+)
+from .ultralocal import Cover, cover_from_json, ultra_closure_fragment
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,15 @@ class InterpolantNode:
             "children": [c.to_json() for c in self.children],
         }
 
+    @classmethod
+    def from_json(cls, data) -> "InterpolantNode":
+        """Types only; recheck_bp_tree checks the structure."""
+        data = object_from_json(data, "tree node")
+        blocks = table_from_json(data.get("blocks", []), "tree node blocks")
+        if data.get("base"):
+            return cls(blocks, True)
+        return cls(blocks, False, tuple(map(cls.from_json, data.get("children", []))))
+
 
 @dataclass(frozen=True)
 class BPInstance:
@@ -53,13 +65,9 @@ class BPInstance:
             raise ValueError("h does not satisfy the near-unanimity identities")
         if self.cover.universe != self.f.universe or self.cover.domain_arity != self.f.arity:
             raise ValueError("cover does not match the target's domain")
-        d = self.h.arity
-        nblocks = len(self.cover.blocks)
-        for size in range(min(d - 1, nblocks) + 1):
-            for combo in itertools.combinations(range(nblocks), size):
-                key = frozenset(combo)
-                if key not in self.base_interpolants:
-                    raise ValueError(f"missing base interpolant for blocks {sorted(key)}")
+        for key in subfamilies(len(self.cover.blocks), self.h.arity - 1):
+            if key not in self.base_interpolants:
+                raise ValueError(f"missing base interpolant for blocks {sorted(key)}")
         for key, t in self.base_interpolants.items():
             if t.universe != self.f.universe or t.arity != self.f.arity:
                 raise ValueError("base interpolant shape mismatch")
@@ -86,11 +94,8 @@ def bp_interpolate(inst: BPInstance) -> BPResult:
     for key, t in inst.base_interpolants.items():
         memo[key] = (t, InterpolantNode(tuple(sorted(key)), base=True))
 
+    # With fewer than d blocks the base interpolants already cover them all.
     full = frozenset(range(nblocks))
-    if nblocks <= d - 1:
-        op, node = memo[full]
-        return BPResult(op, node)
-
     for m in range(d, nblocks + 1):
         for combo in itertools.combinations(range(nblocks), m):
             key = frozenset(combo)
@@ -163,3 +168,67 @@ def classical_bp_membership(f: Operation, fragment: CloneFragment, d: int) -> bo
         raise ValueError(f"fragment has no near-unanimity member of arity {d}")
     relations = inv(fragment, d - 1)
     return all(preserves(f, rel) for rel in relations)
+
+
+# --- JSON interchange (bp_tree payload {"table": [int], "tree": node}) -------
+
+def instance_from_json(data: dict) -> BPInstance:
+    universe = universe_from_json(data["universe"])
+    f = operation_from_json(data["f"], universe)
+    h = operation_from_json(data["h"], universe)
+    cover = cover_from_json(universe, f.arity, data["cover"])
+    base = {
+        parse_subset_key(key): Operation(universe, f.arity, table_from_json(table))
+        for key, table in object_from_json(
+            data["base_interpolants"], "base_interpolants"
+        ).items()
+    }
+    return BPInstance(f, h, cover, base)
+
+
+def bp_tree_to_json(result: BPResult) -> dict:
+    return {"table": list(result.operation.table), "tree": result.tree.to_json()}
+
+
+def bp_tree_from_json(data) -> tuple[tuple[int, ...], InterpolantNode]:
+    data = object_from_json(data, "bp_tree payload")
+    table = table_from_json(data.get("table"), "certified table")
+    return table, InterpolantNode.from_json(data.get("tree", {}))
+
+
+def recheck_bp_tree(decoded, inst: BPInstance) -> str | None:
+    """Why the tree does not rebuild the target from the instance, or None."""
+    table, tree = decoded
+    d = inst.h.arity
+    nblocks = len(inst.cover.blocks)
+
+    def rebuild(node: InterpolantNode) -> Operation | None:
+        blocks = node.blocks
+        if sorted(blocks) != list(blocks) or any(not 0 <= b < nblocks for b in blocks):
+            return None
+        key = frozenset(blocks)
+        if node.base:
+            return inst.base_interpolants.get(key)
+        if len(node.children) != d:
+            return None
+        ordered = sorted(key)
+        child_ops = []
+        for i, child in enumerate(node.children):
+            if frozenset(child.blocks) != key - {ordered[i]}:
+                return None
+            op = rebuild(child)
+            if op is None:
+                return None
+            child_ops.append(op)
+        return superpose(inst.h, child_ops)
+
+    if frozenset(tree.blocks) != frozenset(range(nblocks)):
+        return "tree root does not cover all blocks"
+    op = rebuild(tree)
+    if op is None:
+        return "tree structure is inconsistent with the instance"
+    if op.table != table:
+        return "recomputed table differs from the certified table"
+    if op.table != inst.f.table:
+        return "certified table does not equal the target"
+    return None

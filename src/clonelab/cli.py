@@ -1,16 +1,23 @@
 """Unified command-line front end with JSON input and output.
 
 Verdict-producing subcommands always exit 0, including negative verdicts;
-exit 1 means malformed input, exit 2 a resource cap. Output is canonical
-JSON (sorted keys, no whitespace), so identical inputs give byte-identical
-output.
+exit 1 means malformed input, exit 2 a resource cap. `run` is the one
+error boundary: every ValueError a subcommand raises (CliInputError is
+one) becomes the exit-1 error object, and ResourceCapExceeded the exit-2
+one. Output is canonical JSON (sorted keys, no whitespace), so identical
+inputs give byte-identical output.
 
 Subcommands that produce checkable objects can write a certificate file;
 `clonelab verify` rechecks any certificate against the original inputs.
 A certificate envelope carries the kind, the payload, a content hash of
 the input files, and a hash of the envelope itself, so any byte-level
 tampering is detected even when the altered payload would still be
-mathematically consistent.
+mathematically consistent. This module owns the envelope and the
+CERTIFICATES registry, one entry per kind. Each kind's payload encoder,
+decoder and recheck live with the types it serializes: dagger in
+ultralocal, bp_tree in baker_pixley, product_decomp in structure_detect,
+alt_cover in symbolic_perms, module_recovery in simple_module, and
+preservation_witness in finite_core.
 
 `run(argv, out=...)` is the in-process entry point: it writes the same
 stdout and returns the same exit code as the `clonelab` command. It parses
@@ -29,20 +36,14 @@ import sys
 
 from . import baker_pixley, clone_engine, finite_core, simple_module, structure_detect
 from . import symbolic_perms, ultralocal
-from .finite_core import ResourceCapExceeded, int_from_json, table_from_json
+from .finite_core import ResourceCapExceeded
 from .interpolation import InterpolationQuery, is_lambda_interpolable
 
-CERT_KINDS = (
-    "dagger",
-    "bp_tree",
-    "product_decomp",
-    "alt_cover",
-    "module_recovery",
-    "preservation_witness",
-)
+# What reading a malformed JSON object raises.
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, IndexError)
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     pass
 
 
@@ -86,20 +87,26 @@ def load_json(path: str):
         )
 
 
-def _load_operation(path: str) -> finite_core.Operation:
+def _load(path: str, decode, what: str):
+    """decode(the JSON in path); a decoding error becomes an input error
+    whose message starts with what."""
     data = load_json(path)
     try:
-        return finite_core.operation_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad operation file {path}: field error: {exc}")
+        return decode(data)
+    except _DECODE_ERRORS as exc:
+        raise CliInputError(f"{what}: {exc}")
+
+
+def _load_operation(path: str) -> finite_core.Operation:
+    return _load(path, finite_core.operation_from_json, f"bad operation file {path}: field error")
 
 
 def _load_fragment(path: str) -> clone_engine.CloneFragment:
-    data = load_json(path)
-    try:
-        return clone_engine.fragment_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad fragment file {path}: field error: {exc}")
+    return _load(path, clone_engine.fragment_from_json, f"bad fragment file {path}: field error")
+
+
+def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
+    return _load(path, baker_pixley.instance_from_json, f"bad interpolation instance {path}")
 
 
 def _load_generators(path: str):
@@ -132,21 +139,28 @@ def _load_moved_map(path: str) -> dict[int, int]:
     if not isinstance(moved, dict):
         raise CliInputError(f"bad map file {path}: expected an object with a \"moved\" map")
     try:
-        return {int(k): int(v) for k, v in moved.items()}
-    except (TypeError, ValueError) as exc:
+        return symbolic_perms.moved_map_from_json(moved)
+    except ValueError as exc:
         raise CliInputError(f"bad map file {path}: field error: {exc}")
 
 
 def _load_permutation(path: str) -> symbolic_perms.FinSuppPermutation:
+    moved = _load_moved_map(path)
     try:
-        return symbolic_perms.FinSuppPermutation(_load_moved_map(path))
+        return symbolic_perms.FinSuppPermutation(moved)
     except ValueError as exc:
         raise CliInputError(f"bad permutation file {path}: {exc}")
 
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj) + "\n")
+        _emit(fh, obj)
+
+
+def _write_certificate(path: str | None, kind: str, payload: dict, input_paths) -> None:
+    """Write the certificate of payload to path, when --cert gave one."""
+    if path:
+        _write_json(path, make_certificate(kind, payload, input_paths))
 
 
 def _emit(out, obj) -> None:
@@ -156,16 +170,13 @@ def _emit(out, obj) -> None:
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_gen(args, out) -> int:
-    try:
-        generators, universe = _load_generators(args.generators)
-        fragment = clone_engine.generate(
-            generators,
-            args.arity_bound,
-            universe=universe,
-            member_cap=args.member_cap,
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    generators, universe = _load_generators(args.generators)
+    fragment = clone_engine.generate(
+        generators,
+        args.arity_bound,
+        universe=universe,
+        member_cap=args.member_cap,
+    )
     result = clone_engine.fragment_to_json(fragment)
     if args.out:
         _write_json(args.out, result)
@@ -176,10 +187,7 @@ def _cmd_gen(args, out) -> int:
 def _cmd_member(args, out) -> int:
     op = _load_operation(args.op)
     fragment = _load_fragment(args.fragment)
-    try:
-        result = clone_engine.contains(fragment, op)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    result = clone_engine.contains(fragment, op)
     _emit(out, {"result": result})
     return 0
 
@@ -187,12 +195,9 @@ def _cmd_member(args, out) -> int:
 def _cmd_interp(args, out) -> int:
     target = _load_operation(args.target)
     fragment = _load_fragment(args.fragment)
-    try:
-        verdict = is_lambda_interpolable(
-            InterpolationQuery(target, fragment, args.lam)
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    verdict = is_lambda_interpolable(
+        InterpolationQuery(target, fragment, args.lam)
+    )
     result: dict = {"result": verdict.holds}
     if verdict.witness is not None:
         result["witness"] = {"S": [list(p) for p in verdict.witness]}
@@ -206,15 +211,13 @@ def _cmd_ultra(args, out) -> int:
     strategy = (
         "exhaustive_partitions" if args.strategy == "exhaustive" else args.strategy
     )
-    try:
-        outcome = ultralocal.search_dagger(
-            target, fragment, args.lam, strategy, args.max_blocks
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    outcome = ultralocal.search_dagger(
+        target, fragment, args.lam, strategy, args.max_blocks
+    )
     result: dict = {"result": outcome.certificate is not None, "disproof": outcome.disproof}
     if outcome.certificate is not None:
         payload = ultralocal.dagger_to_json(outcome.certificate)
+        # The certificate is printed too, so it is made without --cert.
         cert = make_certificate("dagger", payload, [args.target, args.fragment])
         result["certificate"] = cert
         if args.cert:
@@ -223,35 +226,11 @@ def _cmd_ultra(args, out) -> int:
     return 0
 
 
-def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
-    data = load_json(path)
-    try:
-        universe = finite_core.universe_from_json(data["universe"])
-        f = finite_core.operation_from_json(data["f"], universe)
-        h = finite_core.operation_from_json(data["h"], universe)
-        cover = ultralocal.cover_from_json(universe, f.arity, data["cover"])
-        base = {
-            ultralocal.parse_subset_key(key): finite_core.Operation(
-                universe, f.arity, table_from_json(table)
-            )
-            for key, table in finite_core.object_from_json(
-                data["base_interpolants"], "base_interpolants"
-            ).items()
-        }
-        return baker_pixley.BPInstance(f, h, cover, base)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CliInputError(f"bad interpolation instance {path}: {exc}")
-
-
 def _cmd_bp(args, out) -> int:
     inst = _load_bp_instance(args.instance)
     result_obj = baker_pixley.bp_interpolate(inst)
-    payload = {
-        "table": list(result_obj.operation.table),
-        "tree": result_obj.tree.to_json(),
-    }
-    if args.cert:
-        _write_json(args.cert, make_certificate("bp_tree", payload, [args.instance]))
+    payload = baker_pixley.bp_tree_to_json(result_obj)
+    _write_certificate(args.cert, "bp_tree", payload, [args.instance])
     _emit(out, payload)
     return 0
 
@@ -259,21 +238,13 @@ def _cmd_bp(args, out) -> int:
 def _cmd_detect(args, out) -> int:
     if args.what == "ess-unary":
         op = _load_operation(args.op)
-        witness = finite_core.preservation_witness(op, finite_core.rho3(op.universe))
+        rel = finite_core.rho3(op.universe)
+        witness = finite_core.preservation_witness(op, rel)
         result: dict = {"essentially_unary": witness is None}
         if witness is not None:
-            payload = {
-                "operation": finite_core.operation_to_json(op),
-                "relation": finite_core.relation_to_json(finite_core.rho3(op.universe)),
-                "rows": [list(r) for r in witness.rows],
-                "image": list(witness.image),
-            }
-            result["witness"] = {"rows": payload["rows"], "image": payload["image"]}
-            if args.cert:
-                _write_json(
-                    args.cert,
-                    make_certificate("preservation_witness", payload, [args.op]),
-                )
+            payload = finite_core.preservation_witness_to_json(op, rel, witness)
+            result["witness"] = finite_core.witness_to_json(witness)
+            _write_certificate(args.cert, "preservation_witness", payload, [args.op])
         _emit(out, result)
         return 0
 
@@ -281,52 +252,28 @@ def _cmd_detect(args, out) -> int:
         op = _load_operation(args.op)
         if args.left_size is None or args.right_size is None:
             raise CliInputError("product detection needs --left-size and --right-size")
-        try:
-            pu = structure_detect.ProductUniverse(
-                finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
-            )
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        pu = structure_detect.ProductUniverse(
+            finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
+        )
         if op.universe.size != pu.paired.size:
             raise CliInputError("operation universe does not match the product sizes")
         split = structure_detect.decompose_product(pu, op)
         result = {"product": bool(split)}
         if split:
-            result["factor_left"] = list(split.factor_left.table)
-            result["factor_right"] = list(split.factor_right.table)
-            if args.cert:
-                payload = {
-                    "left_size": args.left_size,
-                    "right_size": args.right_size,
-                    "arity": op.arity,
-                    "factor_left": list(split.factor_left.table),
-                    "factor_right": list(split.factor_right.table),
-                }
-                _write_json(
-                    args.cert, make_certificate("product_decomp", payload, [args.op])
-                )
+            payload = structure_detect.product_decomp_to_json(pu, split)
+            result["factor_left"] = payload["factor_left"]
+            result["factor_right"] = payload["factor_right"]
+            _write_certificate(args.cert, "product_decomp", payload, [args.op])
         else:
-            result["witness"] = {
-                "rows": [list(r) for r in split.witness.rows],
-                "image": list(split.witness.image),
-            }
+            result["witness"] = finite_core.witness_to_json(split.witness)
         _emit(out, result)
         return 0
 
     if args.what == "module":
         op = _load_operation(args.op)
         _require(args, "group")
-        gdata = load_json(args.group)
-        try:
-            universe = finite_core.universe_from_json(gdata["universe"])
-            group = structure_detect.AbelianGroup(
-                universe,
-                finite_core.operation_from_json(gdata["add"], universe),
-                finite_core.operation_from_json(gdata["neg"], universe),
-                int(gdata["zero"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"bad group file {args.group}: {exc}")
+        group = _load(args.group, structure_detect.group_from_json,
+                      f"bad group file {args.group}")
         result = {"compatible": structure_detect.module_compatible(op, group)}
         _emit(out, result)
         return 0
@@ -335,10 +282,7 @@ def _cmd_detect(args, out) -> int:
         op = _load_operation(args.op)
         if args.ideal is None:
             raise CliInputError("gs detection needs --ideal")
-        try:
-            result = {"member": structure_detect.goldstern_shelah_member(op, args.ideal)}
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        result = {"member": structure_detect.goldstern_shelah_member(op, args.ideal)}
         _emit(out, result)
         return 0
 
@@ -377,15 +321,9 @@ def _cmd_perm(args, out) -> int:
 
     if args.what == "cover-witness":
         _require(args, "k", "a", "b", "window")
-        try:
-            witness = symbolic_perms.alt_cover_witness(
-                args.k, args.a, args.b, args.window
-            )
-        except ValueError as exc:
-            raise CliInputError(str(exc))
-        payload = _alt_cover_payload(witness)
-        if args.cert:
-            _write_json(args.cert, make_certificate("alt_cover", payload, []))
+        witness = symbolic_perms.alt_cover_witness(args.k, args.a, args.b, args.window)
+        payload = symbolic_perms.alt_cover_to_json(witness)
+        _write_certificate(args.cert, "alt_cover", payload, [])
         _emit(out, payload)
         return 0
 
@@ -401,60 +339,24 @@ def _cmd_perm(args, out) -> int:
     raise CliInputError(f"unknown permutation command {args.what!r}")
 
 
-def _alt_cover_payload(witness) -> dict:
-    return {
-        "k": witness.k,
-        "a": witness.a,
-        "b": witness.b,
-        "window": witness.cover.window,
-        "blocks": [sorted(block) for block in witness.cover.blocks],
-        "interpolants": {
-            ultralocal.subset_key(key): {str(k): v for k, v in sorted(p.moved.items())}
-            for key, p in witness.interpolants.items()
-        },
-    }
-
-
 def _cmd_module(args, out) -> int:
     if args.what == "recover":
         _require(args, "instance")
-        data = load_json(args.instance)
-        try:
-            inst = simple_module.instance_from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"bad module instance {args.instance}: {exc}")
-        span = None
-        if "ring_span" in data:
-            span = [
-                simple_module.matrix_from_json(inst.field, m) for m in data["ring_span"]
-            ]
+        inst, span = _load(args.instance, simple_module.instance_and_span_from_json,
+                           f"bad module instance {args.instance}")
         try:
             result = simple_module.recover(inst, span)
         except simple_module.PipelineError as exc:
             _emit(out, {"result": False, "stage": exc.stage, "message": str(exc)})
             return 0
-        payload = {
-            "field": inst.field.order,
-            "dim": inst.dim,
-            "r0": simple_module.matrix_to_json(result.r0),
-            "t": simple_module.matrix_to_json(result.t),
-            "u": simple_module.matrix_to_json(result.u),
-            "u_coefficients": list(result.u_coefficients),
-            "recovered": simple_module.matrix_to_json(result.recovered),
-        }
-        if args.cert:
-            _write_json(
-                args.cert, make_certificate("module_recovery", payload, [args.instance])
-            )
+        payload = simple_module.module_recovery_to_json(inst, result)
+        _write_certificate(args.cert, "module_recovery", payload, [args.instance])
         _emit(out, {"result": True, **payload})
         return 0
 
     if args.what == "demo":
-        try:
-            F = simple_module.field_of_order(args.field)
-            inst = simple_module.random_instance(F, args.dim, random.Random(args.seed))
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        F = simple_module.field_of_order(args.field)
+        inst = simple_module.random_instance(F, args.dim, random.Random(args.seed))
         result = simple_module.instance_to_json(inst)
         if args.out:
             _write_json(args.out, result)
@@ -466,172 +368,37 @@ def _cmd_module(args, out) -> int:
 
 # --- certificate verification ---------------------------------------------------
 
-def _recheck_dagger(payload, inputs) -> tuple[bool, str]:
-    if len(inputs) != 2:
-        return False, "dagger verification needs --inputs target.json fragment.json"
-    target = _load_operation(inputs[0])
-    fragment = _load_fragment(inputs[1])
-    try:
-        cert = ultralocal.dagger_from_json(payload)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        return False, f"unusable payload: {exc}"
-    if ultralocal.verify_dagger_certificate(cert, target, fragment):
-        return True, ""
-    return False, "certificate fails recheck"
-
-
-def _recheck_bp_tree(payload, inputs) -> tuple[bool, str]:
-    if len(inputs) != 1:
-        return False, "bp_tree verification needs --inputs instance.json"
-    inst = _load_bp_instance(inputs[0])
-    d = inst.h.arity
-    nblocks = len(inst.cover.blocks)
-
-    def rebuild(node) -> finite_core.Operation | None:
-        blocks = tuple(int(b) for b in node.get("blocks", ()))
-        if sorted(blocks) != list(blocks) or any(
-            not 0 <= b < nblocks for b in blocks
-        ):
-            return None
-        key = frozenset(blocks)
-        if node.get("base"):
-            return inst.base_interpolants.get(key)
-        children = node.get("children", [])
-        if len(children) != d:
-            return None
-        ordered = sorted(key)
-        child_ops = []
-        for i, child in enumerate(children):
-            expected = key - {ordered[i]}
-            if frozenset(int(b) for b in child.get("blocks", ())) != expected:
-                return None
-            op = rebuild(child)
-            if op is None:
-                return None
-            child_ops.append(op)
-        return finite_core.superpose(inst.h, child_ops)
-
-    root = payload.get("tree", {})
-    if frozenset(int(b) for b in root.get("blocks", ())) != frozenset(range(nblocks)):
-        return False, "tree root does not cover all blocks"
-    op = rebuild(root)
-    if op is None:
-        return False, "tree structure is inconsistent with the instance"
-    if list(op.table) != payload.get("table"):
-        return False, "recomputed table differs from the certified table"
-    if op.table != inst.f.table:
-        return False, "certified table does not equal the target"
-    return True, ""
-
-
-def _recheck_product(payload, inputs) -> tuple[bool, str]:
-    if len(inputs) != 1:
-        return False, "product_decomp verification needs --inputs op.json"
-    op = _load_operation(inputs[0])
-    try:
-        pu = structure_detect.ProductUniverse(
-            finite_core.Universe(int_from_json(payload["left_size"], "left_size")),
-            finite_core.Universe(int_from_json(payload["right_size"], "right_size")),
-        )
-        arity = int_from_json(payload["arity"], "arity")
-        f_a = finite_core.Operation(pu.left, arity, table_from_json(payload["factor_left"]))
-        f_b = finite_core.Operation(pu.right, arity, table_from_json(payload["factor_right"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, f"unusable payload: {exc}"
-    if op.arity != arity or op.universe.size != pu.paired.size:
-        return False, "payload shapes do not match the operation"
-    if structure_detect.product_operation(pu, f_a, f_b).table != op.table:
-        return False, "factors do not recompose to the operation"
-    return True, ""
-
-
-def _recheck_alt_cover(payload, inputs) -> tuple[bool, str]:
-    if inputs:
-        return False, "alt_cover certificates take no inputs"
-    try:
-        cover = symbolic_perms.SymbolicCover(
-            int(payload["window"]),
-            tuple(frozenset(int(x) for x in block) for block in payload["blocks"]),
-        )
-        interpolants = {
-            ultralocal.parse_subset_key(key): symbolic_perms.FinSuppPermutation(
-                {
-                    int(k): int(v)
-                    for k, v in finite_core.object_from_json(moved, "moved map").items()
-                }
-            )
-            for key, moved in finite_core.object_from_json(
-                payload["interpolants"], "interpolants"
-            ).items()
-        }
-        witness = symbolic_perms.AltCoverWitness(
-            int(payload["k"]), int(payload["a"]), int(payload["b"]), cover, interpolants
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, f"unusable payload: {exc}"
-    if symbolic_perms.verify_alt_cover(witness):
-        return True, ""
-    return False, "cover witness fails recheck"
-
-
-def _recheck_module_recovery(payload, inputs) -> tuple[bool, str]:
-    if len(inputs) != 1:
-        return False, "module_recovery verification needs --inputs instance.json"
-    inst = simple_module.instance_from_json(load_json(inputs[0]))
-    F = inst.field
-    try:
-        r0 = simple_module.matrix_from_json(F, payload["r0"])
-        t = simple_module.matrix_from_json(F, payload["t"])
-        u = simple_module.matrix_from_json(F, payload["u"])
-        recovered = simple_module.matrix_from_json(F, payload["recovered"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, f"unusable payload: {exc}"
-    if int(payload.get("field", -1)) != F.order or int(payload.get("dim", -1)) != inst.dim:
-        return False, "payload shape does not match the instance"
-    if r0.rows != inst.interpolants[0].rows:
-        return False, "certified r0 differs from the instance"
-    if (u.compose(t) + r0).rows != recovered.rows:
-        return False, "u t + r0 does not reassemble the certified map"
-    if recovered.rows != inst.f.rows:
-        return False, "recovered map differs from the target"
-    for v in simple_module.kernel_basis(t):
-        if (inst.f - r0).apply(v) != simple_module.zero_vector(inst.dim):
-            return False, "kernel containment fails"
-    return True, ""
-
-
-def _recheck_preservation(payload, inputs) -> tuple[bool, str]:
-    if len(inputs) != 1:
-        return False, "preservation_witness verification needs --inputs op.json"
-    op = _load_operation(inputs[0])
-    try:
-        rel = finite_core.relation_from_json(payload["relation"], op.universe)
-        rows = [table_from_json(r, "witness row") for r in payload["rows"]]
-        image = table_from_json(payload["image"], "witness image")
-        cert_op = finite_core.operation_from_json(payload["operation"], op.universe)
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, f"unusable payload: {exc}"
-    if cert_op.table != op.table or len(rows) != op.arity:
-        return False, "payload operation does not match the input"
-    if any(r not in rel.tuples for r in rows):
-        return False, "witness rows are not relation tuples"
-    computed = tuple(
-        op.table[op.index_of(tuple(row[j] for row in rows))] for j in range(rel.arity)
-    )
-    if computed != image:
-        return False, "witness image is not the row-wise application"
-    if image in rel.tuples:
-        return False, "witness image lies in the relation"
-    return True, ""
-
-
-_RECHECKERS = {
-    "dagger": _recheck_dagger,
-    "bp_tree": _recheck_bp_tree,
-    "product_decomp": _recheck_product,
-    "alt_cover": _recheck_alt_cover,
-    "module_recovery": _recheck_module_recovery,
-    "preservation_witness": _recheck_preservation,
+# kind -> (inputs, decode, recheck). inputs holds a (usage name, loader)
+# pair per --inputs file; decode(payload, *loaded) raises on a payload it
+# cannot read; recheck(decoded, *loaded) says why the certificate fails, or
+# returns None.
+CERTIFICATES = {
+    "dagger": (
+        (("target.json", _load_operation), ("fragment.json", _load_fragment)),
+        lambda payload, target, _: ultralocal.dagger_from_json(payload, target),
+        ultralocal.recheck_dagger,
+    ),
+    "bp_tree": (
+        (("instance.json", _load_bp_instance),),
+        lambda payload, _: baker_pixley.bp_tree_from_json(payload),
+        baker_pixley.recheck_bp_tree,
+    ),
+    "product_decomp": (
+        (("op.json", _load_operation),),
+        lambda payload, _: structure_detect.product_decomp_from_json(payload),
+        structure_detect.recheck_product_decomp,
+    ),
+    "alt_cover": ((), symbolic_perms.alt_cover_from_json, symbolic_perms.recheck_alt_cover),
+    "module_recovery": (
+        (("instance.json", lambda path: simple_module.instance_from_json(load_json(path))),),
+        simple_module.module_recovery_from_json,
+        simple_module.recheck_module_recovery,
+    ),
+    "preservation_witness": (
+        (("op.json", _load_operation),),
+        finite_core.preservation_witness_from_json,
+        finite_core.recheck_preservation_witness,
+    ),
 }
 
 
@@ -642,7 +409,7 @@ def check_certificate(cert: dict, input_paths) -> tuple[bool, str]:
     if set(cert.keys()) != {"kind", "payload", "inputs_digest", "payload_digest"}:
         return False, "unexpected certificate fields"
     kind = cert["kind"]
-    if kind not in CERT_KINDS:
+    if not isinstance(kind, str) or kind not in CERTIFICATES:
         return False, f"unknown certificate kind {kind!r}"
     body = {
         "kind": kind,
@@ -653,10 +420,22 @@ def check_certificate(cert: dict, input_paths) -> tuple[bool, str]:
         return False, "payload digest mismatch"
     if digest_files(input_paths) != cert["inputs_digest"]:
         return False, "input digest mismatch"
+    inputs, decode, recheck = CERTIFICATES[kind]
+    if len(input_paths) != len(inputs):
+        if not inputs:
+            return False, f"{kind} certificates take no inputs"
+        names = " ".join(name for name, _ in inputs)
+        return False, f"{kind} verification needs --inputs {names}"
     try:
-        return _RECHECKERS[kind](cert["payload"], list(input_paths))
-    except (CliInputError, KeyError, TypeError, ValueError, IndexError) as exc:
+        loaded = [load(path) for (_, load), path in zip(inputs, input_paths)]
+        try:
+            decoded = decode(cert["payload"], *loaded)
+        except _DECODE_ERRORS as exc:
+            return False, f"unusable payload: {exc}"
+        reason = recheck(decoded, *loaded)
+    except _DECODE_ERRORS as exc:
         return False, f"recheck failed: {exc}"
+    return reason is None, reason or ""
 
 
 def _cmd_verify(args, out) -> int:
@@ -709,7 +488,7 @@ SCHEMAS = {
         "ring_span": "optional list of matrices (defaults to the full matrix ring)",
     },
     "certificate": {
-        "kind": f"one of {list(CERT_KINDS)}",
+        "kind": f"one of {list(CERTIFICATES)}",
         "payload": "kind-specific object",
         "inputs_digest": "sha256 of the input files",
         "payload_digest": "sha256 of the canonical envelope",
@@ -833,7 +612,7 @@ def run(argv, out=None) -> int:
         return 1
     try:
         return _HANDLERS[args.command](args, out)
-    except CliInputError as exc:
+    except ValueError as exc:
         _emit(out, {"error": {"type": "input", "message": str(exc)}})
         return 1
     except ResourceCapExceeded as exc:

@@ -49,6 +49,7 @@ from .finite_core import (
     int_from_json_key,
     object_from_json,
     offset_lookup,
+    operation_to_json,
     prefix_folds,
     preserves,
     projection,
@@ -82,6 +83,12 @@ class CloneFragment:
                 j: frozenset(op.table for op in ops) for j, ops in self.members.items()
             }
             object.__setattr__(self, "_tables", tables)
+
+    @classmethod
+    def from_members(cls, universe: Universe, arity_bound: int, members) -> "CloneFragment":
+        """A fragment whose generators are its members, in arity order."""
+        generators = tuple(op for j in sorted(members) for op in members[j])
+        return cls(universe, arity_bound, generators, members)
 
     def tables(self, arity: int) -> frozenset[tuple[int, ...]]:
         return self._tables[arity]
@@ -261,8 +268,7 @@ def pol(
             if all(preserves(op, rel) for rel in relations)
         )
         members[j] = kept
-    flat = tuple(op for ops in members.values() for op in ops)
-    return CloneFragment(universe, arity_bound, flat, members)
+    return CloneFragment.from_members(universe, arity_bound, members)
 
 
 def inv(
@@ -279,14 +285,11 @@ def inv(
     """
     if max_arity < 1:
         raise ValueError("max arity must be >= 1")
-    checkers = fragment.generators
-    if not checkers:
-        # Projection clone: every relation is invariant.
-        checkers = ()
     out = []
     for r in range(1, max_arity + 1):
         for rel in all_relations(fragment.universe, r, cap=rel_cap):
-            if all(preserves(g, rel) for g in checkers):
+            # With no generators (the projection clone) every relation is kept.
+            if all(preserves(g, rel) for g in fragment.generators):
                 out.append(rel)
     return tuple(out)
 
@@ -314,9 +317,7 @@ def fragment_to_json(fragment: CloneFragment) -> dict:
             str(j): [list(op.table) for op in ops]
             for j, ops in sorted(fragment.members.items())
         },
-        "generators": [
-            {"arity": g.arity, "table": list(g.table)} for g in fragment.generators
-        ],
+        "generators": [operation_to_json(g) for g in fragment.generators],
     }
 
 
@@ -335,5 +336,5 @@ def fragment_from_json(data: dict) -> CloneFragment:
         for g in data.get("generators", [])
     )
     if not generators:
-        generators = tuple(op for j in sorted(members) for op in members[j])
+        return CloneFragment.from_members(universe, bound, members)
     return CloneFragment(universe, bound, generators, members)

@@ -457,3 +457,63 @@ def relation_from_json(data: dict, universe: Universe | None = None) -> Relation
             size = max((max(t) for t in tuples if t), default=0) + 1
             universe = Universe(size)
     return Relation(universe, arity, tuples)
+
+
+def witness_to_json(witness: PreservationWitness) -> dict:
+    return {"rows": [list(r) for r in witness.rows], "image": list(witness.image)}
+
+
+def preservation_witness_to_json(
+    op: Operation, rel: Relation, witness: PreservationWitness
+) -> dict:
+    return {
+        "operation": operation_to_json(op),
+        "relation": relation_to_json(rel),
+        **witness_to_json(witness),
+    }
+
+
+def preservation_witness_from_json(data: dict, op: Operation):
+    """(operation, relation, rows, image) of a payload, read over op's universe."""
+    rel = relation_from_json(data["relation"], op.universe)
+    rows = tuple(table_from_json(r, "witness row") for r in data["rows"])
+    image = table_from_json(data["image"], "witness image")
+    return operation_from_json(data["operation"], op.universe), rel, rows, image
+
+
+def recheck_preservation_witness(decoded, op: Operation) -> str | None:
+    """Why the payload does not show op failing to preserve its relation."""
+    cert_op, rel, rows, image = decoded
+    if cert_op.table != op.table or len(rows) != op.arity:
+        return "payload operation does not match the input"
+    if any(r not in rel.tuples for r in rows):
+        return "witness rows are not relation tuples"
+    computed = tuple(
+        op.table[op.index_of(tuple(row[j] for row in rows))] for j in range(rel.arity)
+    )
+    if computed != image:
+        return "witness image is not the row-wise application"
+    if image in rel.tuples:
+        return "witness image lies in the relation"
+    return None
+
+
+# --- subfamilies of cover blocks ----------------------------------------------
+
+def subfamilies(nblocks: int, max_size: int):
+    """Every set of at most max_size of the blocks range(nblocks), as a
+    frozenset, by size and then lexicographically."""
+    for size in range(min(max_size, nblocks) + 1):
+        yield from map(frozenset, itertools.combinations(range(nblocks), size))
+
+
+# Certificates key a subfamily by its comma-joined sorted indices.
+
+def subset_key(indices) -> str:
+    return ",".join(str(i) for i in sorted(indices))
+
+
+def parse_subset_key(key: str) -> frozenset[int]:
+    if not key:
+        return frozenset()
+    return frozenset(int_from_json_key(part, "subfamily index") for part in key.split(","))

@@ -116,5 +116,4 @@ def local_closure_fragment(
             for op in all_operations(fragment.universe, j, cap=op_cap)
             if local_closure_membership(op, fragment, kappa)
         )
-    flat = tuple(op for ops in members.values() for op in ops)
-    return CloneFragment(fragment.universe, arity_bound, flat, members)
+    return CloneFragment.from_members(fragment.universe, arity_bound, members)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .finite_core import ResourceCapExceeded
+from .finite_core import ResourceCapExceeded, int_from_json, table_from_json
 
 DESK_FIELD_CAP = 9
 DEFAULT_VECTOR_CAP = 4096
@@ -96,8 +96,8 @@ class FiniteField:
                 tuple(self._poly_mul(a, b, reduction) for b in range(order))
                 for a in range(order)
             )
-        self.neg_table = tuple(self._find_neg(a) for a in range(order))
-        self.inv_table = (None,) + tuple(self._find_inv(a) for a in range(1, order))
+        self.neg_table = tuple(row.index(0) for row in self.add_table)
+        self.inv_table = (None,) + tuple(row.index(1) for row in self.mul_table[1:])
         self._verify_axioms()
 
     # -- digit/polynomial helpers --
@@ -135,18 +135,6 @@ class FiniteField:
                         conv[deg - self.degree + i] + c * r
                     ) % self.char
         return self._undigits(conv[: self.degree])
-
-    def _find_neg(self, a: int) -> int:
-        for b in range(self.order):
-            if self.add_table[a][b] == 0:
-                return b
-        raise ValueError(f"no additive inverse for {a}")
-
-    def _find_inv(self, a: int) -> int:
-        for b in range(self.order):
-            if self.mul_table[a][b] == 1:
-                return b
-        raise ValueError(f"no multiplicative inverse for {a}")
 
     def _verify_axioms(self):
         q = self.order
@@ -206,18 +194,6 @@ def field_of_order(q: int) -> FiniteField:
 
 
 # --- vectors and matrices ----------------------------------------------------
-
-def vec_add(F: FiniteField, u, v):
-    return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(F: FiniteField, u, v):
-    return tuple(F.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(F: FiniteField, c, u):
-    return tuple(F.mul(c, a) for a in u)
-
 
 def zero_vector(dim: int):
     return (0,) * dim
@@ -774,7 +750,9 @@ def matrix_to_json(mat: LinearMap) -> list:
 
 
 def matrix_from_json(F: FiniteField, data) -> LinearMap:
-    return LinearMap(F, tuple(tuple(int(x) for x in row) for row in data))
+    if not isinstance(data, list):
+        raise ValueError(f"matrix must be a list of rows, got {type(data).__name__}")
+    return LinearMap(F, tuple(table_from_json(row, "matrix row") for row in data))
 
 
 def instance_to_json(inst: SubspaceCoverInstance) -> dict:
@@ -788,11 +766,62 @@ def instance_to_json(inst: SubspaceCoverInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> SubspaceCoverInstance:
-    F = field_of_order(int(data["field"]))
-    dim = int(data["dim"])
+    F = field_of_order(int_from_json(data["field"], "field"))
+    dim = int_from_json(data["dim"], "dim")
     f = matrix_from_json(F, data["f"])
     interpolants = tuple(matrix_from_json(F, r) for r in data["interpolants"])
     blocks = tuple(
-        tuple(tuple(int(x) for x in v) for v in block) for block in data["blocks"]
+        tuple(table_from_json(v, "block vector") for v in block) for block in data["blocks"]
     )
     return SubspaceCoverInstance(F, dim, f, interpolants, blocks)
+
+
+def instance_and_span_from_json(data: dict):
+    """The instance and its "ring_span", or None for the full matrix ring
+    when the key is absent. Span matrices must have the instance's size."""
+    inst = instance_from_json(data)
+    if "ring_span" not in data:
+        return inst, None
+    span = [matrix_from_json(inst.field, m) for m in data["ring_span"]]
+    if any(M.dim != inst.dim for M in span):
+        raise ValueError(f"ring_span matrices must be {inst.dim} x {inst.dim}")
+    return inst, span
+
+
+def module_recovery_to_json(inst: SubspaceCoverInstance, result: RecoveryResult) -> dict:
+    return {
+        "field": inst.field.order,
+        "dim": inst.dim,
+        "r0": matrix_to_json(result.r0),
+        "t": matrix_to_json(result.t),
+        "u": matrix_to_json(result.u),
+        "u_coefficients": list(result.u_coefficients),
+        "recovered": matrix_to_json(result.recovered),
+    }
+
+
+def module_recovery_from_json(data: dict, inst: SubspaceCoverInstance):
+    """(field order, dim, r0, t, u, recovered) of a payload, its matrices
+    read over the instance's field."""
+    r0, t, u, recovered = (
+        matrix_from_json(inst.field, data[key]) for key in ("r0", "t", "u", "recovered")
+    )
+    order = int_from_json(data.get("field", -1), "field")
+    return order, int_from_json(data.get("dim", -1), "dim"), r0, t, u, recovered
+
+
+def recheck_module_recovery(decoded, inst: SubspaceCoverInstance) -> str | None:
+    """Why the payload does not recover the target as u t + r0, or None."""
+    order, dim, r0, t, u, recovered = decoded
+    if order != inst.field.order or dim != inst.dim:
+        return "payload shape does not match the instance"
+    if r0.rows != inst.interpolants[0].rows:
+        return "certified r0 differs from the instance"
+    if (u.compose(t) + r0).rows != recovered.rows:
+        return "u t + r0 does not reassemble the certified map"
+    if recovered.rows != inst.f.rows:
+        return "recovered map differs from the target"
+    for v in kernel_basis(t):
+        if (inst.f - r0).apply(v) != zero_vector(inst.dim):
+            return "kernel containment fails"
+    return None

@@ -17,10 +17,14 @@ from .finite_core import (
     Relation,
     Universe,
     graph,
+    int_from_json,
     operation_from_callable,
+    operation_from_json,
     preservation_witness,
     preserves,
     rho3,
+    table_from_json,
+    universe_from_json,
 )
 from .interpolation import local_closure_fragment
 
@@ -218,6 +222,36 @@ def decompose_product(pu: ProductUniverse, f: Operation) -> DecompositionResult:
     return DecompositionResult(None, None, preservation_witness(f, gamma_star(pu)))
 
 
+def product_decomp_to_json(pu: ProductUniverse, split: DecompositionResult) -> dict:
+    return {
+        "left_size": pu.left.size,
+        "right_size": pu.right.size,
+        "arity": split.factor_left.arity,
+        "factor_left": list(split.factor_left.table),
+        "factor_right": list(split.factor_right.table),
+    }
+
+
+def product_decomp_from_json(data: dict) -> tuple[ProductUniverse, Operation, Operation]:
+    pu = ProductUniverse(
+        Universe(int_from_json(data["left_size"], "left_size")),
+        Universe(int_from_json(data["right_size"], "right_size")),
+    )
+    arity = int_from_json(data["arity"], "arity")
+    f_a = Operation(pu.left, arity, table_from_json(data["factor_left"]))
+    return pu, f_a, Operation(pu.right, arity, table_from_json(data["factor_right"]))
+
+
+def recheck_product_decomp(decoded, op: Operation) -> str | None:
+    """Why the factors do not recompose to op, or None if they do."""
+    pu, f_a, f_b = decoded
+    if op.arity != f_a.arity or op.universe.size != pu.paired.size:
+        return "payload shapes do not match the operation"
+    if product_operation(pu, f_a, f_b).table != op.table:
+        return "factors do not recompose to the operation"
+    return None
+
+
 @dataclass(frozen=True)
 class ProductCloneResult:
     is_product: bool
@@ -255,15 +289,11 @@ def is_product_clone(fragment: CloneFragment, pu: ProductUniverse) -> ProductClo
     if not contains(fragment, star_operation(pu)):
         return ProductCloneResult(False, None, None, None)
     bound = fragment.arity_bound
-    left = CloneFragment(
-        pu.left, bound,
-        tuple(op for j in sorted(left_members) for op in left_members[j]),
-        {j: tuple(ops) for j, ops in left_members.items()},
+    left = CloneFragment.from_members(
+        pu.left, bound, {j: tuple(ops) for j, ops in left_members.items()}
     )
-    right = CloneFragment(
-        pu.right, bound,
-        tuple(op for j in sorted(right_members) for op in right_members[j]),
-        {j: tuple(ops) for j, ops in right_members.items()},
+    right = CloneFragment.from_members(
+        pu.right, bound, {j: tuple(ops) for j, ops in right_members.items()}
     )
     return ProductCloneResult(True, left, right, None)
 
@@ -282,8 +312,7 @@ def product_clone(
             product_operation(pu, g, h)
             for g, h in itertools.product(P.members[j], Q.members[j])
         )
-    flat = tuple(op for ops in members.values() for op in ops)
-    return CloneFragment(pu.paired, arity_bound, flat, members)
+    return CloneFragment.from_members(pu.paired, arity_bound, members)
 
 
 def closure_commutation_check(
@@ -338,6 +367,17 @@ class AbelianGroup:
                         raise ValueError("addition is not associative")
 
 
+def group_from_json(data: dict) -> AbelianGroup:
+    """A group file: {"universe": {...}, "add": op, "neg": op, "zero": int}."""
+    universe = universe_from_json(data["universe"])
+    return AbelianGroup(
+        universe,
+        operation_from_json(data["add"], universe),
+        operation_from_json(data["neg"], universe),
+        int_from_json(data["zero"], "zero"),
+    )
+
+
 def gamma_plus(group: AbelianGroup) -> Relation:
     """Graph of the group addition, {(a, b, a+b)}."""
     return graph(group.add)
@@ -356,14 +396,10 @@ def module_compatible(f: Operation, group: AbelianGroup) -> bool:
 def goldstern_shelah_member(f: Operation, a: int) -> bool:
     """Membership in the clone attached to the principal maximal ideal of
     sets avoiding the point a: every diagonal image f(S,...,S) of a set S
-    avoiding a must again avoid a."""
+    avoiding a must again avoid a. The sets S^n together make up
+    (A - {a})^n, so this is preservation of the unary relation A - {a}."""
     universe = f.universe
     if not 0 <= a < universe.size:
         raise ValueError("ideal point outside universe")
-    others = [x for x in universe.elements() if x != a]
-    for size in range(len(others) + 1):
-        for subset in itertools.combinations(others, size):
-            for args in itertools.product(subset, repeat=f.arity):
-                if f.table[f.index_of(args)] == a:
-                    return False
-    return True
+    others = frozenset((x,) for x in universe.elements() if x != a)
+    return preserves(f, Relation(universe, 1, others))

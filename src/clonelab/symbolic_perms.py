@@ -12,6 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .finite_core import (
+    int_from_json, int_from_json_key, object_from_json, parse_subset_key, subfamilies,
+    subset_key, table_from_json,
+)
+
 
 class FinSuppPermutation:
     """A bijection of the naturals moving finitely many points.
@@ -25,7 +30,6 @@ class FinSuppPermutation:
     def __init__(self, moved: dict[int, int]):
         cleaned = {}
         for k, v in moved.items():
-            k, v = int(k), int(v)
             if k < 0 or v < 0:
                 raise ValueError("permutations act on the naturals")
             if k != v:
@@ -238,22 +242,20 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
 
     target = transposition(a, b)
     interpolants: dict[frozenset[int], FinSuppPermutation] = {}
-    for r in range(min(k, nblocks) + 1):
-        for combo in itertools.combinations(range(nblocks), r):
-            key = frozenset(combo)
-            if 0 not in key:
-                interpolant = identity()
-            else:
-                outside = min(i for i in range(nblocks) if i not in key)
-                c, d = sorted(blocks[outside])[:2]
-                interpolant = compose(target, transposition(c, d))
-            union = set().union(*(blocks[i] for i in key)) if key else set()
-            for point in union:
-                if interpolant(point) != target(point):
-                    raise AssertionError(
-                        f"constructed interpolant disagrees at {point}"
-                    )
-            interpolants[key] = interpolant
+    for key in subfamilies(nblocks, k):
+        if 0 not in key:
+            interpolant = identity()
+        else:
+            outside = min(i for i in range(nblocks) if i not in key)
+            c, d = sorted(blocks[outside])[:2]
+            interpolant = compose(target, transposition(c, d))
+        union = set().union(*(blocks[i] for i in key)) if key else set()
+        for point in union:
+            if interpolant(point) != target(point):
+                raise AssertionError(
+                    f"constructed interpolant disagrees at {point}"
+                )
+        interpolants[key] = interpolant
     return AltCoverWitness(k, a, b, cover, interpolants)
 
 
@@ -271,12 +273,7 @@ def verify_alt_cover(witness: AltCoverWitness) -> bool:
         return False
     if any(len(block) < 2 for block in cover.blocks):
         return False
-    expected_keys = {
-        frozenset(combo)
-        for r in range(min(witness.k, nblocks) + 1)
-        for combo in itertools.combinations(range(nblocks), r)
-    }
-    if set(witness.interpolants.keys()) != expected_keys:
+    if set(witness.interpolants) != set(subfamilies(nblocks, witness.k)):
         return False
     target = transposition(witness.a, witness.b)
     for key, interpolant in witness.interpolants.items():
@@ -342,24 +339,25 @@ def alt_B_locally_closed_check(f, support_bound, probe_points) -> bool:
 
     f may be a FinSuppPermutation or a plain dict read as a total map
     (identity off its keys). For every probe point a the map must agree
-    with some even permutation of the bound on support_bound + {a}; such
-    a permutation fixes a, so candidates moving any probe are rejected,
-    and agreement on the bound pins a single permutation.
+    with some even permutation p of the bound on support_bound + {a}.
+    Agreement on the bound pins p to f's restriction there, and p fixes
+    a, so a match exists iff f maps the bound onto itself as an even
+    permutation and fixes a.
     """
     bound = sorted(set(support_bound))
+    if any(x < 0 for x in bound):
+        raise ValueError("permutations act on the naturals")
     apply = f if isinstance(f, FinSuppPermutation) else (
         lambda x, _m=dict(f): _m.get(x, x)
     )
-    candidates = even_permutations_of(bound)
+    image = [apply(x) for x in bound]
+    even_on_bound = sorted(image) == bound and FinSuppPermutation(
+        dict(zip(bound, image))
+    ).is_even()
     for a in probe_points:
         if a in bound:
             raise ValueError(f"probe point {a} lies inside the support bound")
-        matched = False
-        for p in candidates:
-            if p(a) == apply(a) and all(p(x) == apply(x) for x in bound):
-                matched = True
-                break
-        if not matched:
+        if not (even_on_bound and apply(a) == a):
             return False
     return True
 
@@ -370,5 +368,49 @@ def permutation_to_json(p: FinSuppPermutation) -> dict:
     return {"moved": {str(k): v for k, v in sorted(p.moved.items())}}
 
 
+def moved_map_from_json(moved) -> dict[int, int]:
+    """A JSON object from decimal point keys to integer images."""
+    return {
+        int_from_json_key(k, "moved point"): int_from_json(v, "moved point image")
+        for k, v in object_from_json(moved, "moved map").items()
+    }
+
+
 def permutation_from_json(data: dict) -> FinSuppPermutation:
-    return FinSuppPermutation({int(k): int(v) for k, v in data["moved"].items()})
+    return FinSuppPermutation(moved_map_from_json(data["moved"]))
+
+
+def alt_cover_to_json(witness: AltCoverWitness) -> dict:
+    return {
+        "k": witness.k,
+        "a": witness.a,
+        "b": witness.b,
+        "window": witness.cover.window,
+        "blocks": [sorted(block) for block in witness.cover.blocks],
+        "interpolants": {
+            subset_key(key): permutation_to_json(p)["moved"]
+            for key, p in witness.interpolants.items()
+        },
+    }
+
+
+def alt_cover_from_json(data: dict) -> AltCoverWitness:
+    cover = SymbolicCover(
+        int_from_json(data["window"], "window"),
+        tuple(frozenset(table_from_json(block, "block")) for block in data["blocks"]),
+    )
+    interpolants = {
+        parse_subset_key(key): FinSuppPermutation(moved_map_from_json(moved))
+        for key, moved in object_from_json(data["interpolants"], "interpolants").items()
+    }
+    return AltCoverWitness(
+        int_from_json(data["k"], "k"),
+        int_from_json(data["a"], "a"),
+        int_from_json(data["b"], "b"),
+        cover,
+        interpolants,
+    )
+
+
+def recheck_alt_cover(witness: AltCoverWitness) -> str | None:
+    return None if verify_alt_cover(witness) else "cover witness fails recheck"

@@ -35,8 +35,10 @@ from .finite_core import (
     ResourceCapExceeded,
     Universe,
     int_from_json,
-    int_from_json_key,
     object_from_json,
+    parse_subset_key,
+    subfamilies,
+    subset_key,
     table_from_json,
 )
 from .interpolation import agreement_mask, local_closure_fragment
@@ -141,6 +143,8 @@ def _assign_interpolants(members, masks, block_masks, lam):
     returns the first failing subfamily (as a frozenset) on failure."""
     interpolants: dict[frozenset[int], Operation] = {}
     nblocks = len(block_masks)
+    # The search's hot loop: most candidate covers fail within a few
+    # subfamilies, and an iterator from subfamilies() made it 18% slower.
     for size in range(min(lam, nblocks) + 1):
         for combo in itertools.combinations(range(nblocks), size):
             union = 0
@@ -182,15 +186,6 @@ def _partition_masks(rgs: tuple[int, ...]):
     for idx, b in enumerate(rgs):
         masks[b] |= 1 << idx
     return masks
-
-
-def _cover_from_masks(universe, arity, masks) -> Cover:
-    domain = list(universe.tuples(arity))
-    blocks = tuple(
-        frozenset(domain[i] for i in range(len(domain)) if mask >> i & 1)
-        for mask in masks
-    )
-    return Cover(universe, arity, blocks)
 
 
 def search_dagger(
@@ -240,7 +235,8 @@ def search_dagger(
     for block_masks in candidates:
         found = _assign_interpolants(members, masks, block_masks, lam)
         if not isinstance(found, frozenset):
-            cover = _cover_from_masks(f.universe, f.arity, block_masks)
+            blocks = [[i for i in range(npoints) if mask >> i & 1] for mask in block_masks]
+            cover = cover_from_json(f.universe, f.arity, blocks)
             return DaggerSearchOutcome(DaggerCertificate(cover, lam, found), False, strategy)
     disproof = strategy == "exhaustive_partitions" and max_blocks >= npoints
     return DaggerSearchOutcome(None, disproof, strategy)
@@ -261,13 +257,7 @@ def verify_dagger_certificate(
         return False
     if f.arity > fragment.arity_bound:
         return False
-    nblocks = len(cover.blocks)
-    expected_keys = {
-        frozenset(combo)
-        for size in range(min(cert.lam, nblocks) + 1)
-        for combo in itertools.combinations(range(nblocks), size)
-    }
-    if set(cert.interpolants.keys()) != expected_keys:
+    if set(cert.interpolants) != set(subfamilies(len(cover.blocks), cert.lam)):
         return False
     member_tables = fragment.tables(f.arity)
     for key, t in cert.interpolants.items():
@@ -372,17 +362,7 @@ def ultra_closure_fragment(
 #                 "cover": [[point index]],
 #                 "interpolants": {"0,2": [table ints], "": [...]}}
 # Point indices are lexicographic domain positions; subfamily keys are
-# comma-joined sorted block indices, "" for the empty subfamily.
-
-def subset_key(indices) -> str:
-    return ",".join(str(i) for i in sorted(indices))
-
-
-def parse_subset_key(key: str) -> frozenset[int]:
-    if not key:
-        return frozenset()
-    return frozenset(int_from_json_key(part, "subfamily index") for part in key.split(","))
-
+# finite_core.subset_key strings.
 
 def cover_from_json(universe: Universe, arity: int, blocks) -> Cover:
     """A cover given as lists of lexicographic domain positions."""
@@ -410,12 +390,25 @@ def dagger_to_json(cert: DaggerCertificate) -> dict:
     }
 
 
-def dagger_from_json(data: dict) -> DaggerCertificate:
-    universe = Universe(int_from_json(data["universe_size"], "universe_size"))
+def dagger_from_json(data: dict, target: Operation) -> DaggerCertificate:
+    """The certificate in data, checked against target. The payload's
+    universe size and arity must be the target's; they are compared before
+    the cover lists the size**arity domain points."""
+    m = int_from_json(data["universe_size"], "universe_size")
     n = int_from_json(data["arity"], "arity")
+    if (m, n) != (target.universe.size, target.arity):
+        raise ValueError(
+            f"payload arity {n} on {m} elements does not match the target's "
+            f"arity {target.arity} on {target.universe.size} elements"
+        )
+    universe = Universe(m)
     cover = cover_from_json(universe, n, data["cover"])
     interpolants = {
         parse_subset_key(key): Operation(universe, n, table_from_json(table))
         for key, table in object_from_json(data["interpolants"], "interpolants").items()
     }
     return DaggerCertificate(cover, int_from_json(data["lambda"], "lambda"), interpolants)
+
+
+def recheck_dagger(cert: DaggerCertificate, f: Operation, fragment: CloneFragment) -> str | None:
+    return None if verify_dagger_certificate(cert, f, fragment) else "certificate fails recheck"

@@ -454,3 +454,14 @@ def test_criterion_10_certificate_integrity(tmp_path):
         corrupted_checked += 1
     assert corrupted_checked == 100
     _passline(10, "6/6 certificates verify; 100/100 corruptions rejected", started)
+
+
+def test_certificate_registry_is_the_schema_and_the_emitted_kinds(tmp_path):
+    """One registry entry per kind: the schema lists exactly its kinds, and
+    the command line emits one certificate of each."""
+    assert cli.SCHEMAS["certificate"]["kind"] == f"one of {list(cli.CERTIFICATES)}"
+    kinds = []
+    for cert, _ in _emit_certificates(tmp_path):
+        with open(cert) as fh:
+            kinds.append(json.load(fh)["kind"])
+    assert sorted(kinds) == sorted(cli.CERTIFICATES)

@@ -5,10 +5,14 @@ import pytest
 
 from clonelab.baker_pixley import (
     BPInstance,
+    InterpolantNode,
     bp_interpolate,
+    bp_tree_from_json,
+    bp_tree_to_json,
     classical_bp_membership,
     find_near_unanimity,
     nu_ultraclosure_check,
+    recheck_bp_tree,
 )
 from clonelab.clone_engine import contains, generate
 from clonelab.finite_core import Operation, all_operations
@@ -109,6 +113,21 @@ def test_tree_structure(u2, gates):
             walk(child)
 
     walk(tree)
+
+
+def test_bp_tree_json_round_trip_rechecks(u2, gates):
+    rng = random.Random(21)
+    for _ in range(10):
+        cover = random_partition_cover(u2, 3, 5, rng)
+        f = Operation(u2, 3, tuple(rng.randrange(2) for _ in range(8)))
+        inst = synthetic_instance(u2, f, gates["maj"], cover, rng)
+        result = bp_interpolate(inst)
+        table, tree = bp_tree_from_json(bp_tree_to_json(result))
+        assert (table, tree) == (result.operation.table, result.tree)
+        assert recheck_bp_tree((table, tree), inst) is None
+        # a tree whose root drops a block no longer covers the domain
+        short = InterpolantNode(tree.blocks[:-1], tree.base, tree.children)
+        assert recheck_bp_tree((table, short), inst) == "tree root does not cover all blocks"
 
 
 def test_instance_validation(u2, gates):

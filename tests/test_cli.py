@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import clonelab
-from clonelab import cli
+from clonelab import cli, finite_core
 from clonelab.cli import check_certificate, run
 
 
@@ -652,3 +652,177 @@ def test_verify_alt_cover_rejects_non_decimal_subset_keys(tmp_path, key):
     code, verdict, _ = invoke(["verify", forged])
     assert code == 0 and verdict["valid"] is False
     assert "not a decimal index" in verdict["reason"]
+
+
+def test_verify_dagger_checks_the_shape_before_listing_the_domain(workdir, monkeypatch):
+    inputs = [workdir["not"], workdir["nandfrag"]]
+    cert_path = str(workdir["dir"] / "dagger.json")
+    invoke(["ultra", "--target", inputs[0], "--fragment", inputs[1], "--lambda", "2",
+            "--cert", cert_path])
+    forged = _forge(workdir["dir"], cert_path, inputs, lambda p: p.update(arity=30))
+    tuples = finite_core.Universe.tuples
+
+    def bounded_tuples(self, arity):
+        assert arity <= 1, f"listed the {arity}-tuples of a universe"
+        return tuples(self, arity)
+
+    monkeypatch.setattr(finite_core.Universe, "tuples", bounded_tuples)
+    code, verdict, _ = invoke(["verify", forged, "--inputs", *inputs])
+    assert code == 0 and verdict["valid"] is False
+    assert "payload arity 30 on 2 elements" in verdict["reason"]
+
+
+def _bp_instance(tmp_path):
+    return write_json(tmp_path, "bp.json", {
+        "universe": {"size": 2},
+        "f": {"arity": 1, "table": [1, 0]},
+        "h": {"arity": 3, "table": [0, 0, 0, 1, 0, 1, 1, 1]},
+        "cover": [[0], [1]],
+        "base_interpolants": {"": [0, 1], "0": [1, 1], "1": [0, 0], "0,1": [1, 0]},
+    })
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["tree"].update(blocks=[0.5, 1.5]),
+    lambda p: p["tree"].update(blocks=["x"]),
+    lambda p: p.update(table=[1.0, 0]),
+    lambda p: p.update(tree=[1]),
+], ids=["block-floats", "block-string", "table-entry", "tree-list"])
+def test_verify_bp_tree_reads_integers_strictly(tmp_path, edit):
+    inst = _bp_instance(tmp_path)
+    cert_path = str(tmp_path / "bp_cert.json")
+    invoke(["bp", "--instance", inst, "--cert", cert_path])
+    assert invoke(["verify", cert_path, "--inputs", inst])[1] == {"valid": True}
+    forged = _forge(tmp_path, cert_path, [inst], edit)
+    code, verdict, _ = invoke(["verify", forged, "--inputs", inst])
+    assert code == 0 and verdict["valid"] is False
+    assert "unusable payload" in verdict["reason"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(window=6.0),
+    lambda p: p.update(window="6"),
+    lambda p: p["blocks"][0].__setitem__(0, 0.0),
+    lambda p: p.update(k=2.0),
+    lambda p: p.update(a=0.0),
+    lambda p: p.update(b=True),
+    lambda p: p["interpolants"]["0"].update({"2": 3.9}),
+    lambda p: _rename_key(p["interpolants"]["0"], "2", " 2"),
+    lambda p: _rename_key(p["interpolants"]["0"], "2", "+2"),
+], ids=["window-float", "window-string", "block-entry", "k", "a", "b",
+        "moved-value", "moved-key-space", "moved-key-plus"])
+def test_verify_alt_cover_reads_integers_strictly(tmp_path, edit):
+    cert_path = str(tmp_path / "alt.json")
+    invoke(["perm", "cover-witness", "--k", "2", "--a", "0", "--b", "1", "--window", "6",
+            "--cert", cert_path])
+    assert invoke(["verify", cert_path])[1] == {"valid": True}
+    forged = _forge(tmp_path, cert_path, [], edit)
+    code, verdict, _ = invoke(["verify", forged])
+    assert code == 0 and verdict["valid"] is False
+    assert "unusable payload" in verdict["reason"]
+
+
+@pytest.mark.parametrize("zero, op, message", [
+    (0.9, {"arity": 2, "table": [0, 0, 0, 1]}, "zero 0.9 is not an integer"),
+    (0, {"arity": 1, "table": [0, 1, 2]}, "operation and group universes differ"),
+], ids=["zero-float", "other-universe"])
+def test_detect_module_input_errors(workdir, zero, op, message):
+    group = {
+        "universe": {"size": 2},
+        "add": {"arity": 2, "table": [0, 1, 1, 0]},
+        "neg": {"arity": 1, "table": [0, 1]},
+        "zero": zero,
+    }
+    path = write_json(workdir["dir"], "z2.json", group)
+    op_path = write_json(workdir["dir"], "op.json", op)
+    code, result, _ = invoke(["detect", "module", "--op", op_path, "--group", path])
+    assert code == 1 and result["error"]["type"] == "input"
+    assert message in result["error"]["message"]
+
+
+@pytest.mark.parametrize("moved", [
+    {"0": 1.9, "1": 0},
+    {" 0": 1, "1": 0},
+    {"0": 1, "+1": 0},
+], ids=["value-float", "key-space", "key-plus"])
+@pytest.mark.parametrize("command", ["parity", "altb-check"])
+def test_moved_maps_are_read_strictly(tmp_path, moved, command):
+    path = write_json(tmp_path, "p.json", {"moved": moved})
+    argv = {
+        "parity": ["perm", "parity", "--perm", path],
+        "altb-check": ["perm", "altb-check", "--map", path, "--support", "0,1",
+                       "--window", "4"],
+    }[command]
+    code, result, _ = invoke(argv)
+    assert code == 1 and result["error"]["type"] == "input"
+    assert result["error"]["message"].startswith(f"bad map file {path}: field error: ")
+
+
+def test_altb_check_with_a_negative_support_point_is_input_error(tmp_path):
+    path = write_json(tmp_path, "p.json", {"moved": {"0": 1, "1": 0}})
+    code, result, _ = invoke(["perm", "altb-check", "--map", path, "--support=-1,0",
+                              "--window", "4"])
+    assert code == 1 and result["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(dim=3.7),
+    lambda d: d.update(field=2.0),
+    lambda d: d["f"][0].__setitem__(0, float(d["f"][0][0])),
+    lambda d: d["blocks"][0][0].__setitem__(0, float(d["blocks"][0][0][0])),
+    lambda d: d.update(ring_span=1),
+    lambda d: d.update(ring_span=[[[0.5]]]),
+    lambda d: d.update(ring_span=[[[1]]]),
+], ids=["dim", "field", "matrix-entry", "block-entry", "ring-span-int",
+        "ring-span-float", "ring-span-size"])
+def test_module_instances_are_read_strictly(tmp_path, edit):
+    inst_path = str(tmp_path / "inst.json")
+    invoke(["module", "demo", "--field", "2", "--dim", "3", "--seed", "1", "--out", inst_path])
+    assert invoke(["module", "recover", "--instance", inst_path])[0] == 0
+    data = json.loads(Path(inst_path).read_text())
+    edit(data)
+    code, result, _ = invoke(["module", "recover", "--instance",
+                              write_json(tmp_path, "bad.json", data)])
+    assert code == 1 and result["error"]["type"] == "input"
+    assert result["error"]["message"].startswith("bad module instance ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(field=2.0),
+    lambda p: p.update(dim=4.0),
+    lambda p: p["r0"][0].__setitem__(0, float(p["r0"][0][0])),
+], ids=["field", "dim", "matrix-entry"])
+def test_verify_module_recovery_reads_integers_strictly(tmp_path, edit):
+    inst_path = str(tmp_path / "inst.json")
+    invoke(["module", "demo", "--field", "2", "--dim", "4", "--seed", "9", "--out", inst_path])
+    cert_path = str(tmp_path / "mod.json")
+    invoke(["module", "recover", "--instance", inst_path, "--cert", cert_path])
+    forged = _forge(tmp_path, cert_path, [inst_path], edit)
+    code, verdict, _ = invoke(["verify", forged, "--inputs", inst_path])
+    assert code == 0 and verdict["valid"] is False
+    assert "unusable payload" in verdict["reason"]
+
+
+def test_verify_rejects_an_unhashable_kind():
+    cert = cli.make_certificate("dagger", {}, [])
+    cert["kind"] = ["dagger"]
+    valid, reason = check_certificate(cert, [])
+    assert not valid and reason == "unknown certificate kind ['dagger']"
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("dagger", "dagger verification needs --inputs target.json fragment.json"),
+    ("bp_tree", "bp_tree verification needs --inputs instance.json"),
+    ("product_decomp", "product_decomp verification needs --inputs op.json"),
+    ("module_recovery", "module_recovery verification needs --inputs instance.json"),
+    ("preservation_witness", "preservation_witness verification needs --inputs op.json"),
+])
+def test_wrong_input_count_names_the_expected_inputs(kind, reason):
+    assert check_certificate(cli.make_certificate(kind, {}, []), []) == (False, reason)
+
+
+def test_alt_cover_takes_no_inputs(workdir):
+    cert = cli.make_certificate("alt_cover", {}, [workdir["not"]])
+    assert check_certificate(cert, [workdir["not"]]) == (
+        False, "alt_cover certificates take no inputs"
+    )

@@ -1,6 +1,7 @@
 import pytest
 
 from clonelab.clone_engine import (
+    CloneFragment,
     contains,
     fragment_from_json,
     fragment_to_json,
@@ -176,6 +177,13 @@ def test_fragment_json_round_trip(u2, gates):
     back = fragment_from_json(data)
     assert fragments_equal(frag, back)
     assert {g.table for g in back.generators} == {g.table for g in frag.generators}
+
+
+def test_from_members_generates_by_its_members_in_arity_order(u2, gates):
+    members = {2: (gates["and"], gates["or"]), 1: (gates["not"],)}
+    frag = CloneFragment.from_members(u2, 2, members)
+    assert frag.generators == (gates["not"], gates["and"], gates["or"])
+    assert frag.members is members and frag.tables(2) == {gates["and"].table, gates["or"].table}
 
 
 def test_fragment_json_missing_arity(u2):

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from clonelab import symbolic_perms
 from clonelab.symbolic_perms import (
     AltCoverWitness,
     FinSuppInjection,
     FinSuppPermutation,
     alt_B_locally_closed_check,
+    alt_cover_from_json,
+    alt_cover_to_json,
     alt_cover_witness,
     alt_not_locally_interpolable,
     compose,
@@ -207,6 +210,31 @@ def test_alt_B_check_accepts_plain_mappings():
     assert not alt_B_locally_closed_check({0: 0, 1: 1, 2: 3}, B, probes)
 
 
+def test_alt_B_check_decides_a_12_point_support_directly(monkeypatch):
+    # 12!/2 even permutations are far too many to list; the check must not
+    monkeypatch.setattr(symbolic_perms, "even_permutations_of", None)
+    B = list(range(12))
+    probes = list(range(12, 20))
+    assert alt_B_locally_closed_check(from_cycles([(0, 5, 11)]), B, probes)
+    assert alt_B_locally_closed_check({i: (i + 1) % 11 for i in range(11)}, B, probes)
+    assert not alt_B_locally_closed_check(transposition(3, 9), B, probes)
+    assert not alt_B_locally_closed_check(from_cycles([(0, 12, 1)]), B, probes)
+    assert not alt_B_locally_closed_check({0: 1}, B, probes)
+    assert alt_B_locally_closed_check(transposition(3, 9), B, [])
+    # a probe inside the bound is an error only once the check reaches it
+    assert not alt_B_locally_closed_check(transposition(3, 9), B, [12, 3])
+    with pytest.raises(ValueError, match="inside the support bound"):
+        alt_B_locally_closed_check(identity(), B, [12, 3])
+
+
 def test_json_round_trip():
     p = from_cycles([(0, 1), (4, 5, 6)])
     assert permutation_from_json(permutation_to_json(p)) == p
+    w = alt_cover_witness(2, 0, 1, 6)
+    assert alt_cover_from_json(alt_cover_to_json(w)) == w
+
+
+@pytest.mark.parametrize("moved", [{"0": 1.9, "1": 0}, {" 0": 1, "1": 0}, {"+0": 1, "1": 0}])
+def test_permutation_from_json_reads_integers_strictly(moved):
+    with pytest.raises(ValueError):
+        permutation_from_json({"moved": moved})

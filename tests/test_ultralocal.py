@@ -245,12 +245,24 @@ def test_dagger_json_round_trip(u2, gates):
     cert = search_dagger(gates["p1"], frag, 2, "exhaustive_partitions").certificate
     assert cert is not None
     data = dagger_to_json(cert)
-    back = dagger_from_json(data)
+    back = dagger_from_json(data, gates["p1"])
     assert verify_dagger_certificate(back, gates["p1"], frag)
     assert back.cover.blocks == cert.cover.blocks
     assert {k: v.table for k, v in back.interpolants.items()} == {
         k: v.table for k, v in cert.interpolants.items()
     }
+
+
+def test_dagger_from_json_checks_the_target_shape_first(gates):
+    frag = generate([gates["maj"]], 2)
+    cert = search_dagger(gates["p1"], frag, 2, "exhaustive_partitions").certificate
+    data = dagger_to_json(cert)
+    assert dagger_from_json(data, gates["p1"]).cover == cert.cover
+    for wrong in ({**data, "arity": 40}, {**data, "universe_size": 3}):
+        with pytest.raises(ValueError, match="does not match the target"):
+            dagger_from_json(wrong, gates["p1"])
+    with pytest.raises(ValueError, match="does not match the target"):
+        dagger_from_json(data, gates["not"])
 
 
 def test_domain_points_order(u2):
