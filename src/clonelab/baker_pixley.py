@@ -13,7 +13,7 @@ everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clone_engine import CloneFragment, inv
 from .finite_core import (
@@ -23,14 +23,11 @@ from .finite_core import (
 from .ultralocal import Cover, cover_from_json, ultra_closure_fragment
 
 
-@dataclass(frozen=True)
-class InterpolantNode:
+class InterpolantNode(namedtuple("InterpolantNode", "blocks base children", defaults=((),))):
     """Node of the interpolant construction tree: either a supplied base
     interpolant or a near-unanimity composition of child nodes."""
 
-    blocks: tuple[int, ...]
-    base: bool
-    children: tuple["InterpolantNode", ...] = ()
+    __slots__ = ()
 
     def to_json(self) -> dict:
         if self.base:
@@ -51,38 +48,36 @@ class InterpolantNode:
         return cls(blocks, False, tuple(map(cls.from_json, data.get("children", []))))
 
 
-@dataclass(frozen=True)
-class BPInstance:
-    f: Operation
-    h: Operation
-    cover: Cover
-    base_interpolants: dict[frozenset[int], Operation]
+class BPInstance(namedtuple("BPInstance", "f h cover base_interpolants")):
+    """A target f, a near-unanimity operation h, a cover of f's domain and
+    base_interpolants: a dict from each subfamily of at most h.arity - 1
+    block indices (a frozenset) to an operation agreeing with f on it."""
 
-    def __post_init__(self):
-        if self.h.universe != self.f.universe:
+    __slots__ = ()
+
+    def __new__(cls, f: Operation, h: Operation, cover: Cover, base_interpolants):
+        if h.universe != f.universe:
             raise ValueError("target and near-unanimity operation universes differ")
-        if not is_near_unanimity(self.h):
+        if not is_near_unanimity(h):
             raise ValueError("h does not satisfy the near-unanimity identities")
-        if self.cover.universe != self.f.universe or self.cover.domain_arity != self.f.arity:
+        if cover.universe != f.universe or cover.domain_arity != f.arity:
             raise ValueError("cover does not match the target's domain")
-        for key in subfamilies(len(self.cover.blocks), self.h.arity - 1):
-            if key not in self.base_interpolants:
+        for key in subfamilies(len(cover.blocks), h.arity - 1):
+            if key not in base_interpolants:
                 raise ValueError(f"missing base interpolant for blocks {sorted(key)}")
-        for key, t in self.base_interpolants.items():
-            if t.universe != self.f.universe or t.arity != self.f.arity:
+        for key, t in base_interpolants.items():
+            if t.universe != f.universe or t.arity != f.arity:
                 raise ValueError("base interpolant shape mismatch")
             for b in key:
-                for point in self.cover.blocks[b]:
-                    if t.table[t.index_of(point)] != self.f.table[self.f.index_of(point)]:
+                for point in cover.blocks[b]:
+                    if t.table[t.index_of(point)] != f.table[f.index_of(point)]:
                         raise ValueError(
                             f"base interpolant for blocks {sorted(key)} disagrees at {point}"
                         )
+        return tuple.__new__(cls, (f, h, cover, base_interpolants))
 
 
-@dataclass(frozen=True)
-class BPResult:
-    operation: Operation
-    tree: InterpolantNode
+BPResult = namedtuple("BPResult", "operation tree")
 
 
 def bp_interpolate(inst: BPInstance) -> BPResult:
@@ -109,12 +104,10 @@ def bp_interpolate(inst: BPInstance) -> BPResult:
     return BPResult(op, node)
 
 
-@dataclass(frozen=True)
-class NUClosureReport:
-    holds: bool
-    nu_op: Operation
-    extras: tuple[Operation, ...]  # closure members missing from the fragment
-    checked: int
+class NUClosureReport(namedtuple("NUClosureReport", "holds nu_op extras checked")):
+    """extras are the closure members missing from the fragment."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.holds

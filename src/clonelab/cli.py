@@ -85,6 +85,8 @@ def load_json(path: str):
         raise CliInputError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise CliInputError(f"malformed JSON in {path}: nested too deeply")
 
 
 def _load(path: str, decode, what: str):
@@ -290,10 +292,12 @@ def _cmd_detect(args, out) -> int:
 
 
 def _parse_point_list(text: str) -> list[int]:
+    """Comma-separated points, each spelled as plain ASCII digits (as
+    finite_core.int_from_json_key reads a key); empty items are skipped."""
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [finite_core.int_from_json_key(x, "point") for x in text.split(",") if x != ""]
     except ValueError:
-        raise CliInputError(f"expected comma-separated integers, got {text!r}")
+        raise CliInputError(f"expected comma-separated nonnegative integers, got {text!r}")
 
 
 def _require(args, *names) -> None:

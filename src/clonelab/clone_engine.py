@@ -36,7 +36,6 @@ tuple path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .finite_core import (
     Operation,
@@ -56,33 +55,57 @@ from .finite_core import (
     table_from_json,
     tag_points,
     universe_from_json,
+    universe_to_json,
 )
 
 DEFAULT_MEMBER_CAP = 200_000
 
 
-@dataclass(frozen=True)
 class CloneFragment:
     """The arity-<=k part of a generated clone.
 
     members maps each arity 1..arity_bound to the tuple of that arity's
     members in insertion order (projections first, then closure rounds).
+    Fragments are immutable and compare equal on (universe, arity_bound,
+    generators, members).
     """
 
-    universe: Universe
-    arity_bound: int
-    generators: tuple[Operation, ...]
-    members: dict[int, tuple[Operation, ...]]
-    _tables: dict[int, frozenset[tuple[int, ...]]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("universe", "arity_bound", "generators", "members", "_tables")
 
-    def __post_init__(self):
-        if self._tables is None:
-            tables = {
-                j: frozenset(op.table for op in ops) for j, ops in self.members.items()
-            }
-            object.__setattr__(self, "_tables", tables)
+    def __init__(
+        self,
+        universe: Universe,
+        arity_bound: int,
+        generators: tuple[Operation, ...],
+        members: dict[int, tuple[Operation, ...]],
+    ):
+        set_field = object.__setattr__
+        set_field(self, "universe", universe)
+        set_field(self, "arity_bound", arity_bound)
+        set_field(self, "generators", generators)
+        set_field(self, "members", members)
+        tables = {j: frozenset(op.table for op in ops) for j, ops in members.items()}
+        set_field(self, "_tables", tables)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a CloneFragment")
+
+    def _key(self) -> tuple:
+        return (self.universe, self.arity_bound, self.generators, self.members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CloneFragment(universe={self.universe!r}, arity_bound={self.arity_bound!r}, "
+            f"generators={self.generators!r}, members={self.members!r})"
+        )
 
     @classmethod
     def from_members(cls, universe: Universe, arity_bound: int, members) -> "CloneFragment":
@@ -311,7 +334,7 @@ def fragments_equal(a: CloneFragment, b: CloneFragment) -> bool:
 
 def fragment_to_json(fragment: CloneFragment) -> dict:
     return {
-        "universe": {"size": fragment.universe.size},
+        "universe": universe_to_json(fragment.universe),
         "arity_bound": fragment.arity_bound,
         "members": {
             str(j): [list(op.table) for op in ops]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ResourceCapExceeded(Exception):
@@ -25,21 +25,21 @@ class ResourceCapExceeded(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Universe:
-    """A finite base set {0, ..., size-1} with optional display labels."""
+class Universe(namedtuple("Universe", "size labels", defaults=(None,))):
+    """A finite base set {0, ..., size-1} with optional display labels
+    (a tuple of distinct strings, or None)."""
 
-    size: int
-    labels: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"universe size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
+    def __new__(cls, size: int, labels: tuple[str, ...] | None = None):
+        if size < 1:
+            raise ValueError(f"universe size must be >= 1, got {size}")
+        if labels is not None:
+            if len(labels) != size:
                 raise ValueError("labels must match universe size")
-            if len(set(self.labels)) != self.size:
+            if len(set(labels)) != size:
                 raise ValueError("labels must be pairwise distinct")
+        return tuple.__new__(cls, (size, labels))
 
     def elements(self) -> range:
         return range(self.size)
@@ -49,29 +49,26 @@ class Universe:
         return itertools.product(self.elements(), repeat=arity)
 
 
-@dataclass(frozen=True)
-class Operation:
-    """A total function universe**arity -> universe stored as a flat table.
+class Operation(namedtuple("Operation", "universe arity table")):
+    """A total function universe**arity -> universe stored as a flat table
+    (a tuple of ints).
 
     Nullary operations are excluded; model constants as arity-1 constant
     tables.
     """
 
-    universe: Universe
-    arity: int
-    table: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"operation arity must be >= 1, got {self.arity}")
-        expected = self.universe.size ** self.arity
-        if len(self.table) != expected:
-            raise ValueError(
-                f"table length {len(self.table)} != {self.universe.size}^{self.arity}"
-            )
-        for entry in self.table:
-            if not 0 <= entry < self.universe.size:
+    def __new__(cls, universe: Universe, arity: int, table: tuple[int, ...]):
+        if arity < 1:
+            raise ValueError(f"operation arity must be >= 1, got {arity}")
+        expected = universe.size ** arity
+        if len(table) != expected:
+            raise ValueError(f"table length {len(table)} != {universe.size}^{arity}")
+        for entry in table:
+            if not 0 <= entry < universe.size:
                 raise ValueError(f"table entry {entry} outside universe")
+        return tuple.__new__(cls, (universe, arity, table))
 
     def index_of(self, args: tuple[int, ...]) -> int:
         """Lexicographic index of an argument tuple (last coordinate fastest)."""
@@ -84,36 +81,32 @@ class Operation:
         return apply(self, args)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A finitary relation: a set of arity-tuples over the universe."""
+class Relation(namedtuple("Relation", "universe arity tuples")):
+    """A finitary relation: a frozenset of arity-tuples over the universe."""
 
-    universe: Universe
-    arity: int
-    tuples: frozenset[tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"relation arity must be >= 1, got {self.arity}")
-        for tup in self.tuples:
-            if len(tup) != self.arity:
-                raise ValueError(f"tuple {tup} has wrong length for arity {self.arity}")
+    def __new__(cls, universe: Universe, arity: int, tuples: frozenset[tuple[int, ...]]):
+        if arity < 1:
+            raise ValueError(f"relation arity must be >= 1, got {arity}")
+        for tup in tuples:
+            if len(tup) != arity:
+                raise ValueError(f"tuple {tup} has wrong length for arity {arity}")
             for entry in tup:
-                if not 0 <= entry < self.universe.size:
+                if not 0 <= entry < universe.size:
                     raise ValueError(f"tuple entry {entry} outside universe")
+        return tuple.__new__(cls, (universe, arity, tuples))
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
 
 
-@dataclass(frozen=True)
-class PreservationWitness:
+class PreservationWitness(namedtuple("PreservationWitness", "rows image")):
     """A failed preservation check: rows are relation tuples (one per
     operation argument), image is their row-wise application and lies
     outside the relation."""
 
-    rows: tuple[tuple[int, ...], ...]
-    image: tuple[int, ...]
+    __slots__ = ()
 
 
 def apply(op: Operation, args: tuple[int, ...]) -> int:

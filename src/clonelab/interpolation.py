@@ -14,7 +14,7 @@ where interpolation degenerates to table equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clone_engine import CloneFragment
 from .finite_core import Operation, all_operations
@@ -22,25 +22,24 @@ from .finite_core import Operation, all_operations
 OMEGA = "omega"
 
 
-@dataclass(frozen=True)
-class InterpolationQuery:
-    target: Operation
-    fragment: CloneFragment
-    lam: int
+class InterpolationQuery(namedtuple("InterpolationQuery", "target fragment lam")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.target.universe != self.fragment.universe:
+    def __new__(cls, target: Operation, fragment: CloneFragment, lam: int):
+        if target.universe != fragment.universe:
             raise ValueError("target and fragment universes differ")
-        if self.target.arity > self.fragment.arity_bound:
+        if target.arity > fragment.arity_bound:
             raise ValueError("target arity above fragment arity bound")
-        if self.lam < 0:
+        if lam < 0:
             raise ValueError("subset size must be >= 0")
+        return tuple.__new__(cls, (target, fragment, lam))
 
 
-@dataclass(frozen=True)
-class InterpolationVerdict:
-    holds: bool
-    witness: tuple[tuple[int, ...], ...] | None  # failing point set, if any
+class InterpolationVerdict(namedtuple("InterpolationVerdict", "holds witness")):
+    """holds, and the failing point set (a tuple of domain points) when
+    it does not."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.holds

@@ -22,7 +22,7 @@ approximate anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .finite_core import ResourceCapExceeded, int_from_json, table_from_json
 
@@ -203,21 +203,21 @@ def standard_basis(dim: int):
     return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """A square matrix over GF(q) acting on column vectors from the left."""
+class LinearMap(namedtuple("LinearMap", "field rows")):
+    """A square matrix over GF(q) acting on column vectors from the left;
+    rows is a tuple of row tuples."""
 
-    field: FiniteField
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        dim = len(self.rows)
-        for row in self.rows:
+    def __new__(cls, field: FiniteField, rows: tuple[tuple[int, ...], ...]):
+        dim = len(rows)
+        for row in rows:
             if len(row) != dim:
                 raise ValueError("matrix must be square")
             for entry in row:
-                if not 0 <= entry < self.field.order:
+                if not 0 <= entry < field.order:
                     raise ValueError(f"entry {entry} outside the field")
+        return tuple.__new__(cls, (field, rows))
 
     @property
     def dim(self) -> int:
@@ -418,38 +418,37 @@ def all_vectors(F: FiniteField, dim: int, cap: int = DEFAULT_VECTOR_CAP):
 
 # --- the cover instance and pipeline stages -----------------------------------
 
-@dataclass(frozen=True)
-class SubspaceCoverInstance:
+class SubspaceCoverInstance(
+    namedtuple("SubspaceCoverInstance", "field dim f interpolants blocks")
+):
     """A target map, interpolant maps, and agreement subspaces (bases).
 
+    blocks holds one basis (a tuple of vectors) per interpolant.
     Construction checks shapes and the agreement of f with r_i on each
     block's basis (exact for the whole subspace, by linearity). Whether
     the blocks cover the full space is checked by the pipeline stages
     that rely on it, by exhaustive vector enumeration.
     """
 
-    field: FiniteField
-    dim: int
-    f: LinearMap
-    interpolants: tuple[LinearMap, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.interpolants:
+    def __new__(cls, field: FiniteField, dim: int, f: LinearMap, interpolants, blocks):
+        if not interpolants:
             raise ValueError("need at least one interpolant")
-        if len(self.interpolants) != len(self.blocks):
+        if len(interpolants) != len(blocks):
             raise ValueError("one block per interpolant required")
-        for mat in (self.f,) + self.interpolants:
-            if mat.field != self.field or mat.dim != self.dim:
+        for mat in (f,) + interpolants:
+            if mat.field != field or mat.dim != dim:
                 raise ValueError("matrix shape or field mismatch")
-        for r_i, block in zip(self.interpolants, self.blocks):
+        for r_i, block in zip(interpolants, blocks):
             for v in block:
-                if len(v) != self.dim:
+                if len(v) != dim:
                     raise ValueError("block vector of wrong dimension")
-                if self.f.apply(v) != r_i.apply(v):
+                if f.apply(v) != r_i.apply(v):
                     raise ValueError(
                         f"target disagrees with its interpolant at block vector {v}"
                     )
+        return tuple.__new__(cls, (field, dim, f, interpolants, blocks))
 
 
 def enlarge_to_kernels(
@@ -488,14 +487,12 @@ def normalize(inst: SubspaceCoverInstance) -> SubspaceCoverInstance:
     )
 
 
-@dataclass(frozen=True)
-class TargetAssignment:
+class TargetAssignment(namedtuple("TargetAssignment", "targets carriers")):
     """Chosen independent target subspaces and carrier maps: s_i maps the
     image of r_i isomorphically onto the span of targets[i] and kills a
     complement of that image."""
 
-    targets: tuple[tuple[tuple[int, ...], ...], ...]
-    carriers: tuple[LinearMap, ...]
+    __slots__ = ()
 
 
 def choose_targets(inst: SubspaceCoverInstance) -> TargetAssignment:
@@ -526,10 +523,7 @@ def choose_targets(inst: SubspaceCoverInstance) -> TargetAssignment:
     return TargetAssignment(tuple(targets), tuple(carriers))
 
 
-@dataclass(frozen=True)
-class BuiltSum:
-    t: LinearMap
-    kernel_vectors: tuple[tuple[int, ...], ...]
+BuiltSum = namedtuple("BuiltSum", "t kernel_vectors")
 
 
 def build_t(
@@ -609,10 +603,7 @@ def factor_through(t: LinearMap, f: LinearMap) -> LinearMap:
     return u
 
 
-@dataclass(frozen=True)
-class DensityResult:
-    coefficients: tuple[int, ...]
-    combination: LinearMap
+DensityResult = namedtuple("DensityResult", "coefficients combination")
 
 
 def density_interpolate(target: LinearMap, points, ring_span) -> DensityResult | None:
@@ -652,13 +643,7 @@ def matrix_unit_span(F: FiniteField, dim: int) -> list[LinearMap]:
     return out
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    r0: LinearMap
-    t: LinearMap
-    u: LinearMap
-    u_coefficients: tuple[int, ...]
-    recovered: LinearMap
+RecoveryResult = namedtuple("RecoveryResult", "r0 t u u_coefficients recovered")
 
 
 def recover(inst: SubspaceCoverInstance, ring_span=None) -> RecoveryResult:

@@ -8,7 +8,7 @@ All detectors are pure functions over immutable inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clone_engine import CloneFragment, contains, fragments_equal
 from .finite_core import (
@@ -31,26 +31,25 @@ from .interpolation import local_closure_fragment
 
 # --- primitive positive formulas -------------------------------------------
 
-@dataclass(frozen=True)
-class PPFormula:
+class PPFormula(namedtuple("PPFormula", "free_vars bound_vars atoms")):
     """Existentially quantified conjunction of relational atoms.
 
-    atoms are (relation name, variable tuple) pairs; names resolve in the
+    free_vars and bound_vars are tuples of variable names; atoms are
+    (relation name, variable tuple) pairs, whose names resolve in the
     environment supplied at evaluation time.
     """
 
-    free_vars: tuple[str, ...]
-    bound_vars: tuple[str, ...]
-    atoms: tuple[tuple[str, tuple[str, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = set(self.free_vars) | set(self.bound_vars)
-        if len(names) != len(self.free_vars) + len(self.bound_vars):
+    def __new__(cls, free_vars, bound_vars, atoms):
+        names = set(free_vars) | set(bound_vars)
+        if len(names) != len(free_vars) + len(bound_vars):
             raise ValueError("variable names must be distinct")
-        for _, vars_ in self.atoms:
+        for _, vars_ in atoms:
             for v in vars_:
                 if v not in names:
                     raise ValueError(f"atom uses undeclared variable {v!r}")
+        return tuple.__new__(cls, (free_vars, bound_vars, atoms))
 
 
 def eval_pp_formula(
@@ -135,13 +134,11 @@ def is_essentially_unary(op: Operation) -> bool:
 
 # --- product universes ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductUniverse:
+class ProductUniverse(namedtuple("ProductUniverse", "left right")):
     """A universe presented as a product, with the row-major pairing
     a*|right| + b fixed once and referenced by every product certificate."""
 
-    left: Universe
-    right: Universe
+    __slots__ = ()
 
     @property
     def paired(self) -> Universe:
@@ -184,11 +181,11 @@ def product_operation(pu: ProductUniverse, g: Operation, h: Operation) -> Operat
     return operation_from_callable(pu.paired, g.arity, combined)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    factor_left: Operation | None
-    factor_right: Operation | None
-    witness: PreservationWitness | None
+class DecompositionResult(namedtuple("DecompositionResult", "factor_left factor_right witness")):
+    """The two factor operations, or None, None and the PreservationWitness
+    that f fails to preserve the band operation's graph."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.factor_left is not None
@@ -252,12 +249,13 @@ def recheck_product_decomp(decoded, op: Operation) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class ProductCloneResult:
-    is_product: bool
-    factor_left: CloneFragment | None
-    factor_right: CloneFragment | None
-    failing_member: Operation | None
+class ProductCloneResult(
+    namedtuple("ProductCloneResult", "is_product factor_left factor_right failing_member")
+):
+    """The factor fragments of a product clone, or the first member that
+    does not split (None when the band operation is what is missing)."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.is_product
@@ -336,28 +334,24 @@ def closure_commutation_check(
 
 # --- module compatibility ----------------------------------------------------
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "universe add neg zero")):
     """An abelian group presented by tables; validated on construction."""
 
-    universe: Universe
-    add: Operation
-    neg: Operation
-    zero: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.universe.size
-        if self.add.universe != self.universe or self.add.arity != 2:
+    def __new__(cls, universe: Universe, add: Operation, neg: Operation, zero: int):
+        m = universe.size
+        if add.universe != universe or add.arity != 2:
             raise ValueError("addition must be a binary operation on the universe")
-        if self.neg.universe != self.universe or self.neg.arity != 1:
+        if neg.universe != universe or neg.arity != 1:
             raise ValueError("negation must be unary on the universe")
-        if not 0 <= self.zero < m:
+        if not 0 <= zero < m:
             raise ValueError("zero element outside universe")
-        plus = lambda a, b: self.add.table[self.add.index_of((a, b))]
+        plus = lambda a, b: add.table[add.index_of((a, b))]
         for a in range(m):
-            if plus(a, self.zero) != a:
+            if plus(a, zero) != a:
                 raise ValueError("zero is not a neutral element")
-            if plus(a, self.neg.table[a]) != self.zero:
+            if plus(a, neg.table[a]) != zero:
                 raise ValueError("negation is not an inverse")
             for b in range(m):
                 if plus(a, b) != plus(b, a):
@@ -365,6 +359,7 @@ class AbelianGroup:
                 for c in range(m):
                     if plus(plus(a, b), c) != plus(a, plus(b, c)):
                         raise ValueError("addition is not associative")
+        return tuple.__new__(cls, (universe, add, neg, zero))
 
 
 def group_from_json(data: dict) -> AbelianGroup:

@@ -10,7 +10,7 @@ they back is window-relative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .finite_core import (
     int_from_json, int_from_json_key, object_from_json, parse_subset_key, subfamilies,
@@ -130,29 +130,29 @@ def in_alt_B(p: FinSuppPermutation, support_bound) -> bool:
     return p.is_even() and p.support <= frozenset(support_bound)
 
 
-@dataclass(frozen=True)
-class FinSuppInjection:
+class FinSuppInjection(namedtuple("FinSuppInjection", "support_bound moved")):
     """An injective self-map of the naturals that is the identity outside
     the finite set support_bound. With a finite bound such a map is
-    forced to permute the bound, but the type keeps the intended reading."""
+    forced to permute the bound, but the type keeps the intended reading.
+    moved holds the (point, image) pairs of the moved points."""
 
-    support_bound: frozenset[int]
-    moved: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        mapping = dict(self.moved)
-        if len(mapping) != len(self.moved):
+    def __new__(cls, support_bound: frozenset[int], moved: tuple[tuple[int, int], ...]):
+        mapping = dict(moved)
+        if len(mapping) != len(moved):
             raise ValueError("duplicate keys in moved map")
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("moved map is not injective")
         for k, v in mapping.items():
             if k == v:
                 raise ValueError("fixed points must not be stored")
-            if k not in self.support_bound:
+            if k not in support_bound:
                 raise ValueError(f"moved point {k} outside the support bound")
-            if v not in self.support_bound:
+            if v not in support_bound:
                 # identity off the bound makes v a second preimage of itself
                 raise ValueError(f"value {v} outside the support bound breaks injectivity")
+        return tuple.__new__(cls, (support_bound, moved))
 
     def __call__(self, x: int) -> int:
         return dict(self.moved).get(x, x)
@@ -179,33 +179,31 @@ def compose_injections(f: FinSuppInjection, g: FinSuppInjection) -> FinSuppInjec
 
 # --- cover witnesses inside a window ----------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicCover:
-    """A partition of the window [0, N); queries outside the window are
-    rejected by the operations using it."""
+class SymbolicCover(namedtuple("SymbolicCover", "window blocks")):
+    """A partition of the window [0, N) into a tuple of frozensets; queries
+    outside the window are rejected by the operations using it."""
 
-    window: int
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, window: int, blocks: tuple[frozenset[int], ...]):
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty blocks are rejected")
             if block & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= block
-        if seen != set(range(self.window)):
+        if seen != set(range(window)):
             raise ValueError("blocks must partition the window")
+        return tuple.__new__(cls, (window, blocks))
 
 
-@dataclass(frozen=True)
-class AltCoverWitness:
-    k: int
-    a: int
-    b: int
-    cover: SymbolicCover
-    interpolants: dict[frozenset[int], FinSuppPermutation]
+class AltCoverWitness(namedtuple("AltCoverWitness", "k a b cover interpolants")):
+    """A window cover for the transposition (a b) at level k; interpolants
+    maps each subfamily of at most k block indices (a frozenset) to an even
+    FinSuppPermutation."""
+
+    __slots__ = ()
 
 
 def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
@@ -286,16 +284,15 @@ def verify_alt_cover(witness: AltCoverWitness) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AltSeparationVerdict:
+class AltSeparationVerdict(
+    namedtuple("AltSeparationVerdict", "is_member window interpolable_on_window interpolants")
+):
     """The two facts separating pointwise interpolability from membership:
     whether the permutation is even, and whether each single window point
-    is matched by some even permutation."""
+    is matched by some even permutation (interpolants maps each point to
+    one such FinSuppPermutation)."""
 
-    is_member: bool
-    window: int
-    interpolable_on_window: bool
-    interpolants: dict[int, FinSuppPermutation]
+    __slots__ = ()
 
 
 def alt_not_locally_interpolable(

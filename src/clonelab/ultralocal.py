@@ -27,7 +27,7 @@ on all of them. `ultra_closure_fragment` therefore calls that kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clone_engine import CloneFragment
 from .finite_core import (
@@ -46,37 +46,35 @@ from .interpolation import agreement_mask, local_closure_fragment
 DEFAULT_MATRIX_CAP = 4096
 
 
-@dataclass(frozen=True)
-class Cover:
-    """A finite cover of universe**domain_arity by nonempty point sets."""
+class Cover(namedtuple("Cover", "universe domain_arity blocks")):
+    """A finite cover of universe**domain_arity by nonempty point sets
+    (blocks is a tuple of frozensets of domain points)."""
 
-    universe: Universe
-    domain_arity: int
-    blocks: tuple[frozenset[tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __new__(cls, universe: Universe, domain_arity: int, blocks):
+        if not blocks:
             raise ValueError("cover needs at least one block")
         union = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty cover blocks are rejected")
             for point in block:
-                if len(point) != self.domain_arity:
+                if len(point) != domain_arity:
                     raise ValueError(f"point {point} has wrong arity")
-                if any(not 0 <= x < self.universe.size for x in point):
+                if any(not 0 <= x < universe.size for x in point):
                     raise ValueError(f"point {point} outside universe")
             union |= block
-        if len(union) != self.universe.size ** self.domain_arity:
+        if len(union) != universe.size ** domain_arity:
             raise ValueError("blocks do not cover the whole domain")
+        return tuple.__new__(cls, (universe, domain_arity, blocks))
 
     def is_partition(self) -> bool:
         total = sum(len(b) for b in self.blocks)
         return total == self.universe.size ** self.domain_arity
 
 
-@dataclass(frozen=True)
-class DaggerCertificate:
+class DaggerCertificate(namedtuple("DaggerCertificate", "cover lam interpolants")):
     """Proof object for the cover condition at level lam.
 
     interpolants maps each subfamily B (a frozenset of block indices,
@@ -84,25 +82,21 @@ class DaggerCertificate:
     target on the union of B's blocks.
     """
 
-    cover: Cover
-    lam: int
-    interpolants: dict[frozenset[int], Operation]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DaggerFailure:
-    """A subfamily of cover blocks admitting no single interpolant."""
+class DaggerFailure(namedtuple("DaggerFailure", "cover lam failing_blocks")):
+    """A subfamily of cover blocks (a frozenset of indices) admitting no
+    single interpolant."""
 
-    cover: Cover
-    lam: int
-    failing_blocks: frozenset[int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DaggerSearchOutcome:
-    certificate: DaggerCertificate | None
-    disproof: bool
-    strategy: str
+class DaggerSearchOutcome(namedtuple("DaggerSearchOutcome", "certificate disproof strategy")):
+    """The certificate found (or None), whether the search disproves the
+    cover condition, and the strategy name."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.certificate is not None
@@ -274,14 +268,12 @@ def verify_dagger_certificate(
 
 # --- equalizer formulation -------------------------------------------------
 
-@dataclass(frozen=True)
-class EqualizerFamily:
+class EqualizerFamily(namedtuple("EqualizerFamily", "lam domain_size entries")):
     """For each member t, the lam-column matrices (tuples of domain
-    points) on which t agrees with the target in every column."""
+    points) on which t agrees with the target in every column: entries
+    maps each member to a frozenset of matrices."""
 
-    lam: int
-    domain_size: int
-    entries: dict[Operation, frozenset[tuple[tuple[int, ...], ...]]]
+    __slots__ = ()
 
     def matrix_space_size(self) -> int:
         return self.domain_size ** self.lam
@@ -401,7 +393,8 @@ def dagger_from_json(data: dict, target: Operation) -> DaggerCertificate:
             f"payload arity {n} on {m} elements does not match the target's "
             f"arity {target.arity} on {target.universe.size} elements"
         )
-    universe = Universe(m)
+    # Only the size is stored: the target's universe supplies any labels.
+    universe = target.universe
     cover = cover_from_json(universe, n, data["cover"])
     interpolants = {
         parse_subset_key(key): Operation(universe, n, table_from_json(table))

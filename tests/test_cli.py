@@ -826,3 +826,42 @@ def test_alt_cover_takes_no_inputs(workdir):
     assert check_certificate(cert, [workdir["not"]]) == (
         False, "alt_cover certificates take no inputs"
     )
+
+
+def test_deeply_nested_json_is_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, result, _ = invoke(["member", "--op", str(path), "--fragment", str(path)])
+    assert code == 1 and result["error"]["type"] == "input"
+    assert result["error"]["message"] == f"malformed JSON in {path}: nested too deeply"
+
+
+def test_labelled_universe_survives_gen_and_dagger_verify(tmp_path):
+    universe = {"size": 2, "labels": ["f", "t"]}
+    and_op = {"arity": 2, "table": [0, 0, 0, 1]}
+    gens = write_json(tmp_path, "gens.json", {"universe": universe, "operations": [and_op]})
+    frag = str(tmp_path / "frag.json")
+    code, fragment, _ = invoke(["gen", "--generators", gens, "--arity-bound", "2", "--out", frag])
+    assert code == 0 and fragment["universe"] == universe
+    target = write_json(tmp_path, "target.json", {"universe": universe, **and_op})
+    cert = str(tmp_path / "cert.json")
+    code, result, _ = invoke(["ultra", "--target", target, "--fragment", frag,
+                              "--lambda", "2", "--cert", cert])
+    assert code == 0 and result["result"] is True
+    assert invoke(["verify", cert, "--inputs", target, frag]) == (0, {"valid": True},
+                                                                  '{"valid":true}\n')
+
+    plain = write_json(tmp_path, "plain.json", {"universe": {"size": 2}, "operations": [and_op]})
+    code, fragment, _ = invoke(["gen", "--generators", plain, "--arity-bound", "2"])
+    assert code == 0 and fragment["universe"] == {"size": 2}
+
+
+@pytest.mark.parametrize("point", [" 1", "+1", "1_0"], ids=["space", "plus", "underscore"])
+def test_support_points_are_read_as_plain_decimals(tmp_path, point):
+    path = write_json(tmp_path, "p.json", {"moved": {"0": 1, "1": 0}})
+    for argv in (
+        ["perm", "alt", "--perm", path, f"--support=0,{point}"],
+        ["perm", "altb-check", "--map", path, f"--support=0,{point}", "--window", "12"],
+    ):
+        code, result, _ = invoke(argv)
+        assert code == 1 and result["error"]["type"] == "input"
