@@ -107,6 +107,35 @@ def _load_fragment(path: str) -> clone_engine.CloneFragment:
     return _load(path, clone_engine.fragment_from_json, f"bad fragment file {path}: field error")
 
 
+def _load_query_operation(path: str) -> tuple[finite_core.Operation, bool]:
+    """The operation in path, and whether the file names its own universe."""
+    return _load(
+        path,
+        lambda data: (finite_core.operation_from_json(data), "universe" in data),
+        f"bad operation file {path}: field error",
+    )
+
+
+def _on_fragment_universe(
+    loaded: tuple[finite_core.Operation, bool], fragment: clone_engine.CloneFragment
+) -> finite_core.Operation:
+    """An operation file without its own "universe" object is read on the
+    universe of the fragment it is asked about, labels included; one that
+    names its universe is compared as it stands."""
+    op, own_universe = loaded
+    if own_universe or op.universe.size != fragment.universe.size:
+        return op
+    return finite_core.Operation(fragment.universe, op.arity, op.table)
+
+
+def _load_query(op_path: str, fragment_path: str):
+    """(operation, fragment) for a question about the operation in
+    op_path relative to the fragment in fragment_path."""
+    loaded = _load_query_operation(op_path)
+    fragment = _load_fragment(fragment_path)
+    return _on_fragment_universe(loaded, fragment), fragment
+
+
 def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
     return _load(path, baker_pixley.instance_from_json, f"bad interpolation instance {path}")
 
@@ -187,16 +216,14 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_member(args, out) -> int:
-    op = _load_operation(args.op)
-    fragment = _load_fragment(args.fragment)
+    op, fragment = _load_query(args.op, args.fragment)
     result = clone_engine.contains(fragment, op)
     _emit(out, {"result": result})
     return 0
 
 
 def _cmd_interp(args, out) -> int:
-    target = _load_operation(args.target)
-    fragment = _load_fragment(args.fragment)
+    target, fragment = _load_query(args.target, args.fragment)
     verdict = is_lambda_interpolable(
         InterpolationQuery(target, fragment, args.lam)
     )
@@ -208,8 +235,7 @@ def _cmd_interp(args, out) -> int:
 
 
 def _cmd_ultra(args, out) -> int:
-    target = _load_operation(args.target)
-    fragment = _load_fragment(args.fragment)
+    target, fragment = _load_query(args.target, args.fragment)
     strategy = (
         "exhaustive_partitions" if args.strategy == "exhaustive" else args.strategy
     )
@@ -378,9 +404,13 @@ def _cmd_module(args, out) -> int:
 # returns None.
 CERTIFICATES = {
     "dagger": (
-        (("target.json", _load_operation), ("fragment.json", _load_fragment)),
-        lambda payload, target, _: ultralocal.dagger_from_json(payload, target),
-        ultralocal.recheck_dagger,
+        (("target.json", _load_query_operation), ("fragment.json", _load_fragment)),
+        lambda payload, target, fragment: ultralocal.dagger_from_json(
+            payload, _on_fragment_universe(target, fragment)
+        ),
+        lambda cert, target, fragment: ultralocal.recheck_dagger(
+            cert, _on_fragment_universe(target, fragment), fragment
+        ),
     ),
     "bp_tree": (
         (("instance.json", _load_bp_instance),),
@@ -460,7 +490,9 @@ SCHEMAS = {
         "arity": "int >= 1",
         "table": "list of int, length size^arity, lexicographic order, "
                  "last argument fastest",
-        "universe": "optional universe object (inferred from table length otherwise)",
+        "universe": "optional universe object (otherwise the universe of the fragment "
+                    "the operation is asked about, when the sizes match, or inferred from "
+                    "table length)",
     },
     "relation": {"arity": "int >= 1", "tuples": "list of int lists"},
     "fragment": {

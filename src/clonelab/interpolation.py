@@ -14,12 +14,14 @@ where interpolation degenerates to table equality.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 
 from .clone_engine import CloneFragment
-from .finite_core import Operation, all_operations
+from .finite_core import Operation, ResourceCapExceeded, all_operations
 
 OMEGA = "omega"
+SUBSET_CAP = 1 << 20
 
 
 class InterpolationQuery(namedtuple("InterpolationQuery", "target fragment lam")):
@@ -60,6 +62,8 @@ def is_lambda_interpolable(query: InterpolationQuery) -> InterpolationVerdict:
     The witness, when present, is the lexicographically least failing
     subset of domain points. At size 0 the one subset is the empty set,
     which fails exactly when the target's arity layer has no members.
+    At most SUBSET_CAP subsets are scanned; past that, the scan stops
+    with ResourceCapExceeded.
     """
     target = query.target
     n = target.arity
@@ -68,7 +72,8 @@ def is_lambda_interpolable(query: InterpolationQuery) -> InterpolationVerdict:
     masks = [
         agreement_mask(target, t) for t in query.fragment.members[n]
     ]
-    for combo in itertools.combinations(range(len(domain)), size):
+    combos = itertools.combinations(range(len(domain)), size)
+    for combo in itertools.islice(combos, SUBSET_CAP):
         s_mask = 0
         for idx in combo:
             s_mask |= 1 << idx
@@ -76,6 +81,12 @@ def is_lambda_interpolable(query: InterpolationQuery) -> InterpolationVerdict:
             return InterpolationVerdict(
                 False, tuple(domain[idx] for idx in combo)
             )
+    if next(combos, None) is not None:
+        raise ResourceCapExceeded(
+            f"subset cap {SUBSET_CAP} reached: scanned {SUBSET_CAP} of the "
+            f"{math.comb(len(domain), size)} subsets of {size} of the {len(domain)} "
+            f"domain points, none failing"
+        )
     return InterpolationVerdict(True, None)
 
 

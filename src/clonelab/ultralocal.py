@@ -9,12 +9,25 @@ domain; partitions suffice because any witnessing cover can be refined to
 the atoms of the Boolean algebra its blocks generate, and those atoms
 form a partition.
 
+One kernel (_CoverKernel) tests candidate covers for search_dagger,
+under all three strategies, and for check_dagger. Within one call it
+remembers, for each union bitmask of blocks, the first member whose
+agreement mask contains it, so a union met in an earlier partition is
+looked up rather than rescanned. It also keeps, per block count, the
+subfamilies listed so far, so they are listed once and only as far as a
+cover reads them. The exhaustive walk updates one list of block masks in
+place. Both enumerations are capped (PARTITION_CAP partitions,
+SUBFAMILY_CAP subfamilies per block count), and
+verify_dagger_certificate counts a certificate's keys instead of listing
+the subfamilies they must be.
+
 The dual formulation tracks, for each member t, the set of lam-column
 matrices over the domain on which t agrees with the target columnwise.
 The certificate exists exactly when finitely many of those matrix sets
 cover everything, i.e. when their complements fail the finite
-intersection property. Both routes are implemented independently and
-cross-checked in the test suite.
+intersection property. That route is not part of the library: it is a
+test oracle (tests/fip_oracle.py), written independently, that the test
+suite cross-checks against the search.
 
 The closure the cover condition induces is the local closure of
 `interpolation`, because on a finite domain the condition at level lam
@@ -27,6 +40,7 @@ on all of them. `ultra_closure_fragment` therefore calls that kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 
 from .clone_engine import CloneFragment
@@ -37,13 +51,13 @@ from .finite_core import (
     int_from_json,
     object_from_json,
     parse_subset_key,
-    subfamilies,
     subset_key,
     table_from_json,
 )
 from .interpolation import agreement_mask, local_closure_fragment
 
-DEFAULT_MATRIX_CAP = 4096
+PARTITION_CAP = 1 << 20
+SUBFAMILY_CAP = 1 << 18
 
 
 class Cover(namedtuple("Cover", "universe domain_arity blocks")):
@@ -112,74 +126,141 @@ def _members_and_masks(f: Operation, fragment: CloneFragment):
 
 
 def check_dagger(
-    f: Operation,
-    fragment: CloneFragment,
-    lam: int,
-    cover: Cover,
+    f: Operation, fragment: CloneFragment, lam: int, cover: Cover
 ) -> DaggerCertificate | DaggerFailure:
     """Check one candidate cover. Every subfamily of at most lam blocks
     must admit a member agreeing with f on its union; the first member in
-    fragment order is recorded."""
+    fragment order is recorded, and on failure the first failing
+    subfamily (by size, then lexicographically) is reported."""
     if cover.universe != f.universe or cover.domain_arity != f.arity:
         raise ValueError("cover does not match the target's domain")
     if lam < 0:
         raise ValueError("lam must be >= 0")
     members, masks = _members_and_masks(f, fragment)
     block_masks = [sum(1 << f.index_of(p) for p in block) for block in cover.blocks]
-    found = _assign_interpolants(members, masks, block_masks, lam)
-    if isinstance(found, frozenset):
-        return DaggerFailure(cover, lam, found)
-    return DaggerCertificate(cover, lam, found)
+    kernel = _CoverKernel(masks, lam)
+    failing = kernel.first_failure(block_masks)
+    if failing is not None:
+        return DaggerFailure(cover, lam, frozenset(failing))
+    return DaggerCertificate(cover, lam, kernel.interpolants(block_masks, members))
 
 
-def _assign_interpolants(members, masks, block_masks, lam):
-    """Map every block subfamily of size <= lam to an agreeing member;
-    returns the first failing subfamily (as a frozenset) on failure."""
-    interpolants: dict[frozenset[int], Operation] = {}
-    nblocks = len(block_masks)
-    # The search's hot loop: most candidate covers fail within a few
-    # subfamilies, and an iterator from subfamilies() made it 18% slower.
-    for size in range(min(lam, nblocks) + 1):
-        for combo in itertools.combinations(range(nblocks), size):
+class _CoverKernel:
+    """The cover test shared by every candidate cover of one search.
+
+    A cover passes when the union of every subfamily of at most lam
+    blocks lies inside some member's agreement mask. Two things outlive a
+    single cover: the index of the first agreeing member for each union
+    mask seen so far (None when no member agrees), and, per block count,
+    the subfamily index tuples listed so far, by size and then in
+    itertools.combinations order. A list grows only as far as some cover
+    has read it, so covers that fail early never list every subfamily.
+    """
+
+    __slots__ = ("masks", "lam", "first", "families")
+
+    def __init__(self, masks, lam: int):
+        self.masks = masks
+        self.lam = lam
+        self.first: dict[int, int | None] = {}
+        self.families: dict[int, tuple[list, object]] = {}
+
+    def _agreeing(self, union: int) -> int | None:
+        found = next((i for i, mask in enumerate(self.masks) if union & ~mask == 0), None)
+        self.first[union] = found
+        return found
+
+    def _listing(self, nblocks: int, listed: list, rest):
+        """Subfamilies of nblocks blocks past those listed, appended to
+        listed as they are read, up to the subfamily cap."""
+        for combo in itertools.islice(rest, SUBFAMILY_CAP - len(listed)):
+            listed.append(combo)
+            yield combo
+        if next(rest, None) is not None:
+            raise ResourceCapExceeded(
+                f"subfamily cap {SUBFAMILY_CAP} reached: listed {len(listed)} subfamilies "
+                f"of at most {self.lam} of {nblocks} cover blocks"
+            )
+
+    def _family(self, nblocks: int) -> tuple[list, object]:
+        sizes = range(min(self.lam, nblocks) + 1)
+        rest = itertools.chain.from_iterable(
+            itertools.combinations(range(nblocks), size) for size in sizes
+        )
+        entry = self.families[nblocks] = ([], rest)
+        return entry
+
+    def first_failure(self, block_masks) -> tuple[int, ...] | None:
+        """The first subfamily (a tuple of block indices) whose union no
+        member agrees on, or None when the cover passes."""
+        first = self.first
+        nblocks = len(block_masks)
+        listed, rest = self.families.get(nblocks) or self._family(nblocks)
+        # the listed subfamilies, then (only when all of them pass) the rest
+        for combos in (listed, None):
+            if combos is None:
+                combos = self._listing(nblocks, listed, rest)
+            for combo in combos:
+                union = 0
+                for b in combo:
+                    union |= block_masks[b]
+                found = first.get(union, -1)
+                if found == -1:
+                    found = self._agreeing(union)
+                if found is None:
+                    return combo
+        return None
+
+    def interpolants(self, block_masks, members) -> dict[frozenset[int], Operation]:
+        """The interpolant of every subfamily of a cover that passed."""
+        listed = self.families[len(block_masks)][0]
+        found = {}
+        for combo in listed:
             union = 0
             for b in combo:
                 union |= block_masks[b]
-            chosen = None
-            for t, mask in zip(members, masks):
-                if union & ~mask == 0:
-                    chosen = t
-                    break
-            if chosen is None:
-                return frozenset(combo)
-            interpolants[frozenset(combo)] = chosen
-    return interpolants
+            found[frozenset(combo)] = members[self.first[union]]
+        return found
 
 
-def restricted_growth_strings(n: int, max_blocks: int):
-    """All partitions of range(n) encoded as restricted growth strings,
-    in lexicographic order, using at most max_blocks blocks."""
-    if n == 0:
-        return
-    rgs = [0] * n
-
-    def rec(i: int, current_max: int):
-        if i == n:
-            yield tuple(rgs)
+def _partitions(npoints: int, max_blocks: int):
+    """Every partition of range(npoints) into at most max_blocks blocks,
+    in restricted-growth-string order, as a list of block bitmasks with
+    blocks in order of their lowest point. One list is updated in place
+    and yielded for each partition."""
+    rgs = [0] * npoints  # block index of each point
+    top = [0] * npoints  # top[i] = max(rgs[:i + 1])
+    blocks = [(1 << npoints) - 1]
+    yield blocks
+    last = max_blocks - 1
+    while True:
+        # the last point whose block index can grow
+        i = npoints - 1
+        while i > 0 and (rgs[i] > top[i - 1] or rgs[i] >= last):
+            i -= 1
+        if i == 0:
             return
-        top = min(current_max + 1, max_blocks - 1)
-        for v in range(top + 1):
-            rgs[i] = v
-            yield from rec(i + 1, max(current_max, v))
-
-    yield from rec(1, 0)
-
-
-def _partition_masks(rgs: tuple[int, ...]):
-    nblocks = max(rgs) + 1
-    masks = [0] * nblocks
-    for idx, b in enumerate(rgs):
-        masks[b] |= 1 << idx
-    return masks
+        bit = 1 << i
+        v = rgs[i]
+        blocks[v] ^= bit
+        v += 1
+        rgs[i] = v
+        if v == len(blocks):
+            blocks.append(bit)
+        else:
+            blocks[v] |= bit
+        t = top[i] = v if v > top[i - 1] else top[i - 1]
+        # every later point returns to block 0
+        for j in range(i + 1, npoints):
+            b = rgs[j]
+            if b:
+                bit = 1 << j
+                blocks[b] ^= bit
+                blocks[0] |= bit
+                rgs[j] = 0
+            top[j] = t
+        del blocks[t + 1:]
+        yield blocks
 
 
 def search_dagger(
@@ -202,6 +283,13 @@ def search_dagger(
     Exhaustion is a disproof only for exhaustive_partitions with
     max_blocks = |domain| (complete for partition covers, which suffice);
     other strategies report "no certificate found" without deciding.
+
+    Every candidate goes through one _CoverKernel, which remembers the
+    first agreeing member of each union of blocks and lists each block
+    count's subfamilies once; the exhaustive walk updates one block list
+    in place. The walk visits at most PARTITION_CAP partitions, and at
+    most SUBFAMILY_CAP subfamilies are listed for one block count; past
+    either cap, ResourceCapExceeded says how far the search got.
     """
     members, masks = _members_and_masks(f, fragment)
     npoints = len(f.table)
@@ -209,29 +297,36 @@ def search_dagger(
         raise ValueError("lam must be >= 0")
 
     if strategy == "singletons":
-        candidates = [[1 << i for i in range(npoints)]]
+        candidates = iter([[1 << i for i in range(npoints)]])
     elif strategy == "equalizer_atoms":
         # one block per agreement signature, in order of its lowest point
         atoms: dict[tuple[bool, ...], int] = {}
         for i in range(npoints):
             sig = tuple(bool(mask >> i & 1) for mask in masks)
             atoms[sig] = atoms.get(sig, 0) | 1 << i
-        candidates = [list(atoms.values())]
+        candidates = iter([list(atoms.values())])
     elif strategy == "exhaustive_partitions":
         if max_blocks is None:
             max_blocks = npoints
         if max_blocks < 1:
             raise ValueError("max_blocks must be >= 1")
-        candidates = map(_partition_masks, restricted_growth_strings(npoints, max_blocks))
+        candidates = _partitions(npoints, max_blocks)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    for block_masks in candidates:
-        found = _assign_interpolants(members, masks, block_masks, lam)
-        if not isinstance(found, frozenset):
+    kernel = _CoverKernel(masks, lam)
+    for block_masks in itertools.islice(candidates, PARTITION_CAP):
+        if kernel.first_failure(block_masks) is None:
             blocks = [[i for i in range(npoints) if mask >> i & 1] for mask in block_masks]
             cover = cover_from_json(f.universe, f.arity, blocks)
-            return DaggerSearchOutcome(DaggerCertificate(cover, lam, found), False, strategy)
+            certificate = DaggerCertificate(cover, lam, kernel.interpolants(block_masks, members))
+            return DaggerSearchOutcome(certificate, False, strategy)
+    if next(candidates, None) is not None:
+        raise ResourceCapExceeded(
+            f"partition cap {PARTITION_CAP} reached: visited {PARTITION_CAP} partitions "
+            f"of {npoints} domain points into at most {max_blocks} blocks, "
+            f"none passing at level {lam}"
+        )
     disproof = strategy == "exhaustive_partitions" and max_blocks >= npoints
     return DaggerSearchOutcome(None, disproof, strategy)
 
@@ -251,8 +346,24 @@ def verify_dagger_certificate(
         return False
     if f.arity > fragment.arity_bound:
         return False
-    if set(cert.interpolants) != set(subfamilies(len(cover.blocks), cert.lam)):
+    # Keys are distinct, so they are exactly the subfamilies of at most
+    # lam blocks iff each is one and there are as many as subfamilies.
+    # The running total stops once it passes the key count, so repeated
+    # blocks and a large lam cost a few binomials, not lam of them.
+    nblocks = len(cover.blocks)
+    keys = len(cert.interpolants)
+    expected = 0
+    for size in range(min(cert.lam, nblocks) + 1):
+        expected += math.comb(nblocks, size)
+        if expected > keys:
+            return False
+    if expected != keys:
         return False
+    for key in cert.interpolants:
+        if not isinstance(key, frozenset) or len(key) > cert.lam:
+            return False
+        if not all(isinstance(b, int) and 0 <= b < nblocks for b in key):
+            return False
     member_tables = fragment.tables(f.arity)
     for key, t in cert.interpolants.items():
         if t.universe != f.universe or t.arity != f.arity:
@@ -264,72 +375,6 @@ def verify_dagger_certificate(
                 if f.table[f.index_of(point)] != t.table[t.index_of(point)]:
                     return False
     return True
-
-
-# --- equalizer formulation -------------------------------------------------
-
-class EqualizerFamily(namedtuple("EqualizerFamily", "lam domain_size entries")):
-    """For each member t, the lam-column matrices (tuples of domain
-    points) on which t agrees with the target in every column: entries
-    maps each member to a frozenset of matrices."""
-
-    __slots__ = ()
-
-    def matrix_space_size(self) -> int:
-        return self.domain_size ** self.lam
-
-
-def equalizer_family(
-    f: Operation,
-    fragment: CloneFragment,
-    lam: int,
-    cap: int = DEFAULT_MATRIX_CAP,
-) -> EqualizerFamily:
-    """Materialize the agreement-matrix sets. Each set is the lam-th
-    power of the pointwise agreement set, so it is built directly from
-    that product."""
-    if lam < 1:
-        raise ValueError("equalizer family needs lam >= 1")
-    members, masks = _members_and_masks(f, fragment)
-    domain = list(f.universe.tuples(f.arity))
-    total = len(domain) ** lam
-    if total > cap:
-        raise ResourceCapExceeded(
-            f"{total} matrices exceed the materialization cap {cap}"
-        )
-    entries = {}
-    for t, mask in zip(members, masks):
-        agree = [p for i, p in enumerate(domain) if mask >> i & 1]
-        entries[t] = frozenset(itertools.product(agree, repeat=lam))
-    return EqualizerFamily(lam, len(domain), entries)
-
-
-def fip_holds(family: EqualizerFamily) -> bool:
-    """Whether the complements of the agreement-matrix sets have the
-    finite intersection property.
-
-    The family is finite, so this reduces to: the union of all agreement
-    sets does not exhaust the matrix space.
-    """
-    covered = set()
-    for matrices in family.entries.values():
-        covered |= matrices
-    return len(covered) != family.matrix_space_size()
-
-
-def fip_holds_lazy(f: Operation, fragment: CloneFragment, lam: int) -> bool:
-    """Streaming variant for matrix spaces above the materialization cap:
-    scan matrices one by one for a witness avoiding every agreement set."""
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    members, masks = _members_and_masks(f, fragment)
-    for matrix_indices in itertools.product(range(len(f.table)), repeat=lam):
-        matrix_mask = 0
-        for i in matrix_indices:
-            matrix_mask |= 1 << i
-        if not any(matrix_mask & ~mask == 0 for mask in masks):
-            return True
-    return False
 
 
 def ultra_closure_fragment(

@@ -44,13 +44,8 @@ from clonelab.symbolic_perms import (
     transposition,
     verify_alt_cover,
 )
-from clonelab.ultralocal import (
-    equalizer_family,
-    fip_holds,
-    fip_holds_lazy,
-    search_dagger,
-    ultra_closure_fragment,
-)
+from clonelab.ultralocal import search_dagger, ultra_closure_fragment
+from fip_oracle import equalizer_family, fip_holds, fip_holds_lazy
 
 
 U2 = Universe(2)

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import clonelab
-from clonelab import cli, finite_core
+from clonelab import cli, finite_core, interpolation, ultralocal
 from clonelab.cli import check_certificate, run
 
 
@@ -865,3 +866,88 @@ def test_support_points_are_read_as_plain_decimals(tmp_path, point):
     ):
         code, result, _ = invoke(argv)
         assert code == 1 and result["error"]["type"] == "input"
+
+
+LABELLED = {"size": 2, "labels": ["f", "t"]}
+AND_OP = {"arity": 2, "table": [0, 0, 0, 1]}
+
+
+@pytest.fixture()
+def labelled(tmp_path):
+    """A fragment generated on a labelled universe, an operation file with
+    no "universe" object, and one that names an unlabelled universe."""
+    gens = write_json(tmp_path, "gens.json", {"universe": LABELLED, "operations": [AND_OP]})
+    frag = str(tmp_path / "frag.json")
+    assert invoke(["gen", "--generators", gens, "--arity-bound", "2", "--out", frag])[0] == 0
+    plain = write_json(tmp_path, "t.json", AND_OP)
+    explicit = write_json(tmp_path, "t_explicit.json", {"universe": {"size": 2}, **AND_OP})
+    return {"dir": tmp_path, "frag": frag, "plain": plain, "explicit": explicit}
+
+
+def test_member_reads_an_unlabelled_operation_on_the_fragments_universe(labelled):
+    code, result, _ = invoke(["member", "--op", labelled["plain"], "--fragment", labelled["frag"]])
+    assert (code, result) == (0, {"result": True})
+
+
+def test_interp_reads_an_unlabelled_target_on_the_fragments_universe(labelled):
+    code, result, _ = invoke(["interp", "--target", labelled["plain"],
+                              "--fragment", labelled["frag"], "--lambda", "2"])
+    assert (code, result) == (0, {"result": True})
+
+
+def test_ultra_reads_an_unlabelled_target_on_the_fragments_universe(labelled):
+    code, result, _ = invoke(["ultra", "--target", labelled["plain"],
+                              "--fragment", labelled["frag"], "--lambda", "2"])
+    assert code == 0 and result["result"] is True and result["disproof"] is False
+
+
+def test_verify_reads_an_unlabelled_dagger_target_on_the_fragments_universe(labelled):
+    cert = str(labelled["dir"] / "cert.json")
+    inputs = [labelled["plain"], labelled["frag"]]
+    code, result, _ = invoke(["ultra", "--target", inputs[0], "--fragment", inputs[1],
+                              "--lambda", "2", "--cert", cert])
+    assert code == 0 and result["result"] is True
+    assert invoke(["verify", cert, "--inputs", *inputs]) == (0, {"valid": True}, '{"valid":true}\n')
+
+
+def test_an_operation_naming_another_universe_is_still_an_input_error(labelled):
+    op, frag = labelled["explicit"], labelled["frag"]
+    for argv, message in [
+        (["member", "--op", op, "--fragment", frag], "operation lives on a different universe"),
+        (["interp", "--target", op, "--fragment", frag, "--lambda", "2"],
+         "target and fragment universes differ"),
+        (["ultra", "--target", op, "--fragment", frag, "--lambda", "2"],
+         "target and fragment universes differ"),
+    ]:
+        code, result, _ = invoke(argv)
+        assert code == 1 and result["error"] == {"type": "input", "message": message}
+
+
+def test_caps_in_the_cover_search_and_the_subset_scan_exit_2(workdir, monkeypatch):
+    proj2 = str(workdir["dir"] / "proj2.json")
+    invoke(["gen", "--generators", workdir["empty_gens"], "--arity-bound", "2", "--out", proj2])
+    xor = write_json(workdir["dir"], "xor.json", {"arity": 2, "table": [0, 1, 1, 0]})
+    monkeypatch.setattr(ultralocal, "PARTITION_CAP", 3)
+    code, result, _ = invoke(["ultra", "--target", xor, "--fragment", proj2, "--lambda", "2"])
+    assert code == 2 and result["error"] == {"type": "resource_cap", "message": (
+        "partition cap 3 reached: visited 3 partitions of 4 domain points "
+        "into at most 4 blocks, none passing at level 2")}
+    monkeypatch.setattr(interpolation, "SUBSET_CAP", 1)
+    code, result, _ = invoke(["interp", "--target", workdir["and"], "--fragment",
+                              workdir["nandfrag"], "--lambda", "2"])
+    assert code == 2 and result["error"]["type"] == "resource_cap"
+    assert result["error"]["message"].startswith("subset cap 1 reached: scanned 1 of the 6")
+
+
+def test_verify_of_a_forged_dagger_with_2_to_the_26_subfamilies_is_fast(tmp_path):
+    u3_gens = write_json(tmp_path, "gens.json", {"universe": {"size": 3}, "operations": []})
+    frag = str(tmp_path / "frag.json")
+    invoke(["gen", "--generators", u3_gens, "--arity-bound", "3", "--out", frag])
+    target = write_json(tmp_path, "t.json", {"arity": 3, "table": [i % 3 for i in range(27)]})
+    payload = {"lambda": 13, "arity": 3, "universe_size": 3,
+               "cover": [[i] for i in range(27)], "interpolants": {}}
+    cert = write_json(tmp_path, "cert.json", cli.make_certificate("dagger", payload, [target, frag]))
+    started = time.perf_counter()
+    code, result, _ = invoke(["verify", cert, "--inputs", target, frag])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (0, {"valid": False, "reason": "certificate fails recheck"})

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from clonelab import interpolation
 from clonelab.clone_engine import contains, fragment_from_json, fragments_equal, generate, inv, pol
-from clonelab.finite_core import all_operations, superpose
+from clonelab.finite_core import ResourceCapExceeded, all_operations, superpose
 from clonelab.interpolation import (
     OMEGA,
     InterpolationQuery,
@@ -155,3 +156,30 @@ def test_lambda_zero_fails_on_an_empty_layer(u2, gates):
     verdict = is_lambda_interpolable(InterpolationQuery(gates["not"], empty, 0))
     assert not verdict.holds and verdict.witness == ()
     assert not local_closure_membership(gates["not"], empty, 1)
+
+
+def test_subset_cap_stops_the_scan_and_says_how_far_it_got(u2, gates, monkeypatch):
+    frag = generate([gates["and"]], 2)
+    query = InterpolationQuery(gates["and"], frag, 2)
+    # C(4, 2) = 6 subsets, none failing
+    monkeypatch.setattr(interpolation, "SUBSET_CAP", 6)
+    assert is_lambda_interpolable(query).holds
+    monkeypatch.setattr(interpolation, "SUBSET_CAP", 5)
+    with pytest.raises(ResourceCapExceeded) as caught:
+        is_lambda_interpolable(query)
+    assert str(caught.value) == (
+        "subset cap 5 reached: scanned 5 of the 6 subsets of 2 of the 4 domain points, "
+        "none failing"
+    )
+
+
+def test_a_witness_inside_the_subset_cap_is_unchanged(u2, gates, monkeypatch):
+    frag = generate([], 2, universe=u2)
+    query = InterpolationQuery(gates["xor"], frag, 2)
+    verdict = is_lambda_interpolable(query)
+    assert verdict.witness == ((0, 0), (1, 1))  # the third subset of 2 points
+    monkeypatch.setattr(interpolation, "SUBSET_CAP", 3)
+    assert is_lambda_interpolable(query) == verdict
+    monkeypatch.setattr(interpolation, "SUBSET_CAP", 2)
+    with pytest.raises(ResourceCapExceeded):
+        is_lambda_interpolable(query)

@@ -66,7 +66,6 @@ RECORDS = {
     ul.DaggerCertificate: lambda: ul.search_dagger(AND, _fragment(), 2).certificate,
     ul.DaggerFailure: lambda: ul.DaggerFailure(_cover(), 1, frozenset({0})),
     ul.DaggerSearchOutcome: lambda: ul.search_dagger(XOR, _fragment(), 2),
-    ul.EqualizerFamily: lambda: ul.equalizer_family(AND, _fragment(), 1),
     bp.InterpolantNode: lambda: bp.bp_interpolate(_bp_instance()).tree,
     bp.BPInstance: _bp_instance,
     bp.BPResult: lambda: bp.bp_interpolate(_bp_instance()),
@@ -103,7 +102,7 @@ def test_every_record_class_has_a_case():
         if isinstance(obj, type) and obj.__module__ == mod.__name__ and issubclass(obj, tuple)
     }
     assert defined | {ce.CloneFragment} == set(RECORDS)
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 30
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)

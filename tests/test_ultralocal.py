@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
+from clonelab import ultralocal
 from clonelab.clone_engine import contains, fragment_from_json, fragments_equal, generate
-from clonelab.finite_core import ResourceCapExceeded, all_operations
+from clonelab.finite_core import Operation, ResourceCapExceeded, all_operations
 from clonelab.interpolation import (
     OMEGA,
     InterpolationQuery,
@@ -16,13 +19,11 @@ from clonelab.ultralocal import (
     cover_from_json,
     dagger_from_json,
     dagger_to_json,
-    equalizer_family,
-    fip_holds,
-    fip_holds_lazy,
     search_dagger,
     ultra_closure_fragment,
     verify_dagger_certificate,
 )
+from fip_oracle import equalizer_family, fip_holds, fip_holds_lazy
 
 
 def full_cover(universe, arity):
@@ -268,3 +269,83 @@ def test_dagger_from_json_checks_the_target_shape_first(gates):
 def test_domain_points_order(u2):
     cover = cover_from_json(u2, 2, [[0], [1], [2], [3]])
     assert [sorted(block) for block in cover.blocks] == [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
+
+
+def test_partition_cap_stops_the_walk_and_says_how_far_it_got(u2, gates, monkeypatch):
+    # xor is not 2-interpolable by projections, so all Bell(4) = 15
+    # partitions of its domain fail; a cap of 15 still decides.
+    projections = generate([], 2, universe=u2)
+    monkeypatch.setattr(ultralocal, "PARTITION_CAP", 15)
+    outcome = search_dagger(gates["xor"], projections, 2)
+    assert outcome.certificate is None and outcome.disproof
+    monkeypatch.setattr(ultralocal, "PARTITION_CAP", 14)
+    with pytest.raises(ResourceCapExceeded) as caught:
+        search_dagger(gates["xor"], projections, 2)
+    assert str(caught.value) == (
+        "partition cap 14 reached: visited 14 partitions of 4 domain points "
+        "into at most 4 blocks, none passing at level 2"
+    )
+
+
+def test_a_four_ary_member_is_certified_at_the_first_partition(u2, monkeypatch):
+    projections = generate([], 4, universe=u2)
+    member = projections.members[4][2]
+    monkeypatch.setattr(ultralocal, "PARTITION_CAP", 1)
+    outcome = search_dagger(member, projections, 2)
+    assert len(outcome.certificate.cover.blocks) == 1
+    target = Operation(u2, 4, (0,) * 15 + (1,))
+    monkeypatch.setattr(ultralocal, "PARTITION_CAP", 1000)
+    with pytest.raises(ResourceCapExceeded, match=(
+        "partition cap 1000 reached: visited 1000 partitions of 16 domain points "
+        "into at most 16 blocks, none passing at level 2"
+    )):
+        search_dagger(target, projections, 2)
+
+
+def test_subfamily_cap_stops_the_cover_test(u2, gates, monkeypatch):
+    frag = generate([gates["and"]], 2)
+    cover = singleton_cover(u2, 2)
+    # 1 + 4 + 6 subfamilies of at most 2 of the 4 singletons
+    monkeypatch.setattr(ultralocal, "SUBFAMILY_CAP", 11)
+    assert search_dagger(gates["and"], frag, 2, "singletons")
+    assert isinstance(check_dagger(gates["and"], frag, 2, cover), DaggerCertificate)
+    monkeypatch.setattr(ultralocal, "SUBFAMILY_CAP", 10)
+    message = "subfamily cap 10 reached: listed 10 subfamilies of at most 2 of 4 cover blocks"
+    with pytest.raises(ResourceCapExceeded) as caught:
+        search_dagger(gates["and"], frag, 2, "singletons")
+    assert str(caught.value) == message
+    with pytest.raises(ResourceCapExceeded) as caught:
+        check_dagger(gates["and"], frag, 2, cover)
+    assert str(caught.value) == message
+
+
+def test_verify_counts_subfamily_keys_instead_of_listing_them(u3):
+    # 27 singleton blocks at level 13 have 2**26 subfamilies of at most 13
+    # blocks; an empty interpolant map fails on the count alone.
+    target = Operation(u3, 3, tuple(i % 3 for i in range(27)))
+    forged = DaggerCertificate(singleton_cover(u3, 3), 13, {})
+    assert not verify_dagger_certificate(forged, target, generate([], 3, universe=u3))
+
+
+def test_verify_stops_counting_once_the_subfamilies_outnumber_the_keys(u2, gates):
+    # One block repeated 10**5 times at level 10**5: the subfamily count is
+    # 2**(10**5), but the count passes the single key at its second term.
+    block = frozenset(u2.tuples(2))
+    cover = Cover(u2, 2, (block,) * 10**5)
+    frag = generate([gates["and"]], 2)
+    forged = DaggerCertificate(cover, 10**5, {frozenset(): gates["and"]})
+    start = time.perf_counter()
+    assert not verify_dagger_certificate(forged, gates["and"], frag)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_rejects_keys_outside_the_subfamilies(u2, gates):
+    frag = generate([gates["maj"]], 2)
+    cert = search_dagger(gates["p1"], frag, 1, "singletons").certificate
+    assert verify_dagger_certificate(cert, gates["p1"], frag)
+    # the same number of keys, but one names a missing block or too many blocks
+    for bad in (frozenset({4}), frozenset({0, 1}), (0,)):
+        interpolants = dict(cert.interpolants)
+        interpolants[bad] = interpolants.pop(frozenset({3}))
+        forged = DaggerCertificate(cert.cover, cert.lam, interpolants)
+        assert not verify_dagger_certificate(forged, gates["p1"], frag)
