@@ -264,16 +264,19 @@ def contains(fragment: CloneFragment, op: Operation) -> bool:
     return op.table in fragment.tables(op.arity)
 
 
-def pol(
-    relations,
-    arity_bound: int,
-    universe: Universe | None = None,
-    op_cap: int = 1 << 20,
-) -> CloneFragment:
-    """All operations of arity <= arity_bound preserving every relation.
+def filter_fragment(universe: Universe, arity_bound: int, keep) -> CloneFragment:
+    """The operations of arity <= arity_bound that keep accepts, each
+    arity's in all_operations order, packaged as a fragment whose
+    generator set is its member list."""
+    members = {
+        j: tuple(filter(keep, all_operations(universe, j)))
+        for j in range(1, arity_bound + 1)
+    }
+    return CloneFragment.from_members(universe, arity_bound, members)
 
-    Returned as a fragment whose generator set is its full member list.
-    """
+
+def pol(relations, arity_bound: int, universe: Universe | None = None) -> CloneFragment:
+    """All operations of arity <= arity_bound preserving every relation."""
     relations = tuple(relations)
     if universe is None:
         if not relations:
@@ -282,23 +285,12 @@ def pol(
     for rel in relations:
         if rel.universe != universe:
             raise ValueError("relations live on different universes")
-
-    members: dict[int, tuple[Operation, ...]] = {}
-    for j in range(1, arity_bound + 1):
-        kept = tuple(
-            op
-            for op in all_operations(universe, j, cap=op_cap)
-            if all(preserves(op, rel) for rel in relations)
-        )
-        members[j] = kept
-    return CloneFragment.from_members(universe, arity_bound, members)
+    return filter_fragment(
+        universe, arity_bound, lambda op: all(preserves(op, rel) for rel in relations)
+    )
 
 
-def inv(
-    fragment: CloneFragment,
-    max_arity: int,
-    rel_cap: int = 1 << 16,
-) -> tuple[Relation, ...]:
+def inv(fragment: CloneFragment, max_arity: int) -> tuple[Relation, ...]:
     """All relations of arity <= max_arity preserved by every member.
 
     A relation is invariant under the whole generated clone exactly when
@@ -310,7 +302,7 @@ def inv(
         raise ValueError("max arity must be >= 1")
     out = []
     for r in range(1, max_arity + 1):
-        for rel in all_relations(fragment.universe, r, cap=rel_cap):
+        for rel in all_relations(fragment.universe, r):
             # With no generators (the projection clone) every relation is kept.
             if all(preserves(g, rel) for g in fragment.generators):
                 out.append(rel)

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
+
+OPERATION_CAP = 1 << 20
+RELATION_CAP = 1 << 16
 
 
 class ResourceCapExceeded(Exception):
@@ -332,27 +336,28 @@ def is_essentially_unary_direct(op: Operation) -> bool:
     return essential <= 1
 
 
-def all_operations(universe: Universe, arity: int, cap: int = 1 << 20):
+def all_operations(universe: Universe, arity: int):
     """Yield every operation of the given arity, in table-lexicographic
-    order. Raises ResourceCapExceeded when there are more than `cap`."""
+    order. Raises ResourceCapExceeded when there are more than
+    OPERATION_CAP."""
     m = universe.size
     count = m ** (m ** arity)
-    if count > cap:
+    if count > OPERATION_CAP:
         raise ResourceCapExceeded(
-            f"{count} operations of arity {arity} on {m} elements exceeds cap {cap}"
+            f"{count} operations of arity {arity} on {m} elements exceeds cap {OPERATION_CAP}"
         )
     for table in itertools.product(range(m), repeat=m ** arity):
         yield Operation(universe, arity, table)
 
 
-def all_relations(universe: Universe, arity: int, cap: int = 1 << 16):
+def all_relations(universe: Universe, arity: int):
     """Yield every relation of the given arity (including the empty one),
-    in deterministic order."""
+    in deterministic order, up to RELATION_CAP of them."""
     points = list(universe.tuples(arity))
     count = 1 << len(points)
-    if count > cap:
+    if count > RELATION_CAP:
         raise ResourceCapExceeded(
-            f"2^{len(points)} relations of arity {arity} exceeds cap {cap}"
+            f"2^{len(points)} relations of arity {arity} exceeds cap {RELATION_CAP}"
         )
     for bits in range(count):
         tuples = frozenset(p for i, p in enumerate(points) if bits >> i & 1)
@@ -498,6 +503,29 @@ def subfamilies(nblocks: int, max_size: int):
     frozenset, by size and then lexicographically."""
     for size in range(min(max_size, nblocks) + 1):
         yield from map(frozenset, itertools.combinations(range(nblocks), size))
+
+
+def is_subfamily_key_set(keys, nblocks: int, max_size: int) -> bool:
+    """True iff the distinct keys (a dict's, say) are exactly the
+    subfamilies(nblocks, max_size), decided without listing them.
+
+    Distinct keys that are each a subfamily are all of them iff there are
+    as many. The running total of binomials stops once it passes the key
+    count, so repeated blocks and a large max_size cost a few terms.
+    """
+    expected = 0
+    for size in range(min(max_size, nblocks) + 1):
+        expected += math.comb(nblocks, size)
+        if expected > len(keys):
+            return False
+    if expected != len(keys):
+        return False
+    return all(
+        isinstance(key, frozenset)
+        and len(key) <= max_size
+        and all(isinstance(b, int) and 0 <= b < nblocks for b in key)
+        for key in keys
+    )
 
 
 # Certificates key a subfamily by its comma-joined sorted indices.

@@ -17,8 +17,8 @@ import itertools
 import math
 from collections import namedtuple
 
-from .clone_engine import CloneFragment
-from .finite_core import Operation, ResourceCapExceeded, all_operations
+from .clone_engine import CloneFragment, filter_fragment
+from .finite_core import Operation, ResourceCapExceeded
 
 OMEGA = "omega"
 SUBSET_CAP = 1 << 20
@@ -107,23 +107,14 @@ def local_closure_membership(f: Operation, fragment: CloneFragment, kappa) -> bo
     return is_lambda_interpolable(InterpolationQuery(f, fragment, lam)).holds
 
 
-def local_closure_fragment(
-    fragment: CloneFragment,
-    kappa,
-    arity_bound: int,
-    op_cap: int = 1 << 20,
-) -> CloneFragment:
+def local_closure_fragment(fragment: CloneFragment, kappa, arity_bound: int) -> CloneFragment:
     """All operations of arity <= arity_bound in the kappa-closure,
     packaged as a fragment (its generator set is its member list)."""
     if arity_bound > fragment.arity_bound:
         raise ValueError(
             "closure fragment bound exceeds the input fragment's arity bound"
         )
-    members: dict[int, tuple[Operation, ...]] = {}
-    for j in range(1, arity_bound + 1):
-        members[j] = tuple(
-            op
-            for op in all_operations(fragment.universe, j, cap=op_cap)
-            if local_closure_membership(op, fragment, kappa)
-        )
-    return CloneFragment.from_members(fragment.universe, arity_bound, members)
+    return filter_fragment(
+        fragment.universe, arity_bound,
+        lambda op: local_closure_membership(op, fragment, kappa),
+    )

@@ -27,7 +27,7 @@ from collections import namedtuple
 from .finite_core import ResourceCapExceeded, int_from_json, table_from_json
 
 DESK_FIELD_CAP = 9
-DEFAULT_VECTOR_CAP = 4096
+VECTOR_CAP = 4096
 
 
 class PipelineError(Exception):
@@ -79,23 +79,15 @@ class FiniteField:
         self.order = order
         self.char = p
         self.degree = k
-        if k == 1:
-            self.add_table = tuple(
-                tuple((a + b) % p for b in range(p)) for a in range(p)
-            )
-            self.mul_table = tuple(
-                tuple((a * b) % p for b in range(p)) for a in range(p)
-            )
-        else:
-            reduction = _REDUCTIONS[order]
-            self.add_table = tuple(
-                tuple(self._poly_add(a, b) for b in range(order))
-                for a in range(order)
-            )
-            self.mul_table = tuple(
-                tuple(self._poly_mul(a, b, reduction) for b in range(order))
-                for a in range(order)
-            )
+        # A prime order is degree 1, which needs no reduction rule.
+        reduction = _REDUCTIONS.get(order, ())
+        self.add_table = tuple(
+            tuple(self._poly_add(a, b) for b in range(order)) for a in range(order)
+        )
+        self.mul_table = tuple(
+            tuple(self._poly_mul(a, b, reduction) for b in range(order))
+            for a in range(order)
+        )
         self.neg_table = tuple(row.index(0) for row in self.add_table)
         self.inv_table = (None,) + tuple(row.index(1) for row in self.mul_table[1:])
         self._verify_axioms()
@@ -316,20 +308,13 @@ def rref(F: FiniteField, rows):
 
 
 def rank_of_vectors(F: FiniteField, vectors) -> int:
-    vectors = [v for v in vectors]
-    if not vectors:
-        return 0
-    _, pivots = rref(F, vectors)
-    return len(pivots)
+    return len(rref(F, list(vectors))[1])
 
 
-def independent_subset(F: FiniteField, vectors):
-    """Greedy choice of a basis from the given vectors, in order."""
-    chosen = []
-    for v in vectors:
-        if any(x != 0 for x in v) and rank_of_vectors(F, chosen + [v]) > len(chosen):
-            chosen.append(tuple(v))
-    return chosen
+def pivot_columns(F: FiniteField, vectors) -> list[int]:
+    """Indices of the vectors a greedy scan in order keeps as independent:
+    the pivot columns of the matrix whose columns are the vectors."""
+    return rref(F, list(zip(*vectors)))[1]
 
 
 def kernel_basis(t: LinearMap):
@@ -352,10 +337,8 @@ def kernel_basis(t: LinearMap):
 def image_basis(t: LinearMap):
     """Basis of the column space, as a greedy independent subset of the
     columns (so each basis vector is an actual image t(e_j))."""
-    F = t.field
-    n = t.dim
-    cols = [tuple(t.rows[i][j] for i in range(n)) for j in range(n)]
-    return independent_subset(F, cols)
+    cols = list(zip(*t.rows))
+    return [cols[c] for c in pivot_columns(t.field, cols)]
 
 
 def solve(F: FiniteField, rows, rhs):
@@ -397,22 +380,19 @@ def map_from_basis_images(F: FiniteField, basis, images, dim: int) -> LinearMap:
 
 
 def extend_to_basis(F: FiniteField, vectors, dim: int):
-    """Extend an independent family by standard vectors to a full basis."""
-    basis = list(vectors)
-    for e in standard_basis(dim):
-        if len(basis) == dim:
-            break
-        if rank_of_vectors(F, basis + [e]) > len(basis):
-            basis.append(e)
-    if len(basis) != dim:
+    """Extend an independent family by standard vectors to a full basis,
+    taking each standard vector that is independent of those before it."""
+    candidates = list(vectors) + standard_basis(dim)
+    pivots = pivot_columns(F, candidates)
+    if pivots[:len(vectors)] != list(range(len(vectors))):
         raise ValueError("could not extend to a basis")
-    return basis
+    return [candidates[c] for c in pivots]
 
 
-def all_vectors(F: FiniteField, dim: int, cap: int = DEFAULT_VECTOR_CAP):
+def all_vectors(F: FiniteField, dim: int):
     total = F.order ** dim
-    if total > cap:
-        raise ResourceCapExceeded(f"{total} vectors exceed cap {cap}")
+    if total > VECTOR_CAP:
+        raise ResourceCapExceeded(f"{total} vectors exceed cap {VECTOR_CAP}")
     return [tuple(v) for v in itertools.product(range(F.order), repeat=dim)]
 
 
@@ -451,14 +431,12 @@ class SubspaceCoverInstance(
         return tuple.__new__(cls, (field, dim, f, interpolants, blocks))
 
 
-def enlarge_to_kernels(
-    inst: SubspaceCoverInstance, vector_cap: int = DEFAULT_VECTOR_CAP
-) -> SubspaceCoverInstance:
+def enlarge_to_kernels(inst: SubspaceCoverInstance) -> SubspaceCoverInstance:
     """Replace each block by the kernel of f - r_i and confirm the kernels
     cover the space; a vector matched by no interpolant is reported."""
     kernels = [kernel_basis(inst.f - r_i) for r_i in inst.interpolants]
     diffs = [inst.f - r_i for r_i in inst.interpolants]
-    for v in all_vectors(inst.field, inst.dim, cap=vector_cap):
+    for v in all_vectors(inst.field, inst.dim):
         if not any(d.apply(v) == zero_vector(inst.dim) for d in diffs):
             raise PipelineError(
                 "enlarge",
@@ -588,15 +566,11 @@ def factor_through(t: LinearMap, f: LinearMap) -> LinearMap:
             raise PipelineError(
                 "factor", f"kernel containment violated at {v}", witness=v
             )
-    image_vecs = []
-    values = []
-    for e in standard_basis(dim):
-        w = t.apply(e)
-        if rank_of_vectors(F, image_vecs + [w]) > len(image_vecs):
-            image_vecs.append(w)
-            values.append(f.apply(e))
-    full = extend_to_basis(F, image_vecs, dim)
-    images = values + [zero_vector(dim)] * (dim - len(values))
+    basis = standard_basis(dim)
+    columns = [t.apply(e) for e in basis]
+    pivots = pivot_columns(F, columns)
+    full = extend_to_basis(F, [columns[c] for c in pivots], dim)
+    images = [f.apply(basis[c]) for c in pivots] + [zero_vector(dim)] * (dim - len(pivots))
     u = map_from_basis_images(F, full, images, dim)
     if u.compose(t).rows != f.rows:
         raise PipelineError("factor", "constructed factor does not satisfy u t = f")

@@ -13,9 +13,11 @@ import itertools
 from collections import namedtuple
 
 from .finite_core import (
-    int_from_json, int_from_json_key, object_from_json, parse_subset_key, subfamilies,
-    subset_key, table_from_json,
+    ResourceCapExceeded, int_from_json, int_from_json_key, is_subfamily_key_set,
+    object_from_json, parse_subset_key, subfamilies, subset_key, table_from_json,
 )
+
+INTERPOLANT_CAP = 1 << 18
 
 
 class FinSuppPermutation:
@@ -208,7 +210,9 @@ class AltCoverWitness(namedtuple("AltCoverWitness", "k a b cover interpolants"))
 
 def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
     """Window partition witnessing that the transposition (a b) agrees
-    with an even permutation on every union of at most k blocks.
+    with an even permutation on every union of at most k blocks. There
+    is one interpolant per subfamily, 2**(k+1) - 1 of them, and past
+    INTERPOLANT_CAP none is built.
 
     The partition puts a and b into the first block and uses consecutive
     runs of equal size (the last block absorbs the remainder), so every
@@ -228,6 +232,12 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
     if size < 2:
         raise ValueError(
             f"window {window} too small for {nblocks} blocks of size >= 2"
+        )
+    # Every subfamily of at most k of the k + 1 blocks, all but the full one.
+    count = (1 << nblocks) - 1
+    if count > INTERPOLANT_CAP:
+        raise ResourceCapExceeded(
+            f"{count} interpolants at k = {k} exceed cap {INTERPOLANT_CAP}"
         )
     order = [a, b] + sorted(set(range(window)) - {a, b})
     blocks = []
@@ -271,7 +281,7 @@ def verify_alt_cover(witness: AltCoverWitness) -> bool:
         return False
     if any(len(block) < 2 for block in cover.blocks):
         return False
-    if set(witness.interpolants) != set(subfamilies(nblocks, witness.k)):
+    if not is_subfamily_key_set(witness.interpolants, nblocks, witness.k):
         return False
     target = transposition(witness.a, witness.b)
     for key, interpolant in witness.interpolants.items():

@@ -40,7 +40,6 @@ on all of them. `ultra_closure_fragment` therefore calls that kernel.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 
 from .clone_engine import CloneFragment
@@ -49,6 +48,7 @@ from .finite_core import (
     ResourceCapExceeded,
     Universe,
     int_from_json,
+    is_subfamily_key_set,
     object_from_json,
     parse_subset_key,
     subset_key,
@@ -346,24 +346,8 @@ def verify_dagger_certificate(
         return False
     if f.arity > fragment.arity_bound:
         return False
-    # Keys are distinct, so they are exactly the subfamilies of at most
-    # lam blocks iff each is one and there are as many as subfamilies.
-    # The running total stops once it passes the key count, so repeated
-    # blocks and a large lam cost a few binomials, not lam of them.
-    nblocks = len(cover.blocks)
-    keys = len(cert.interpolants)
-    expected = 0
-    for size in range(min(cert.lam, nblocks) + 1):
-        expected += math.comb(nblocks, size)
-        if expected > keys:
-            return False
-    if expected != keys:
+    if not is_subfamily_key_set(cert.interpolants, len(cover.blocks), cert.lam):
         return False
-    for key in cert.interpolants:
-        if not isinstance(key, frozenset) or len(key) > cert.lam:
-            return False
-        if not all(isinstance(b, int) and 0 <= b < nblocks for b in key):
-            return False
     member_tables = fragment.tables(f.arity)
     for key, t in cert.interpolants.items():
         if t.universe != f.universe or t.arity != f.arity:
@@ -377,12 +361,7 @@ def verify_dagger_certificate(
     return True
 
 
-def ultra_closure_fragment(
-    fragment: CloneFragment,
-    kappa,
-    arity_bound: int,
-    op_cap: int = 1 << 20,
-) -> CloneFragment:
+def ultra_closure_fragment(fragment: CloneFragment, kappa, arity_bound: int) -> CloneFragment:
     """All operations of arity <= arity_bound passing the cover condition
     for every lam < kappa, packaged as a fragment.
 
@@ -390,7 +369,7 @@ def ultra_closure_fragment(
     lam-interpolable f pass; any lam points lie in at most lam blocks of
     a witnessing cover, so every passing f is lam-interpolable.
     """
-    return local_closure_fragment(fragment, kappa, arity_bound, op_cap)
+    return local_closure_fragment(fragment, kappa, arity_bound)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Caps are module constants that each capped function reads when it runs.
+
+A caller cannot pass a cap, and a test narrows one with monkeypatch. The
+one cap parameter left is generate's member_cap, which `gen --member-cap`
+sets per run.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import random
+
+import pytest
+
+import clonelab
+from clonelab import (
+    clone_engine as ce,
+    finite_core as fc,
+    interpolation as ip,
+    simple_module as sm,
+    symbolic_perms as sp,
+    ultralocal as ul,
+)
+from clonelab.finite_core import ResourceCapExceeded
+
+U2 = fc.Universe(2)
+
+
+def public_callables():
+    """(module, qualified name, function) for every public function of a
+    clonelab module and every public method, __init__ and __new__ of its
+    classes."""
+    for info in pkgutil.iter_modules(clonelab.__path__):
+        module = importlib.import_module(f"clonelab.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield module.__name__, name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_") and attr not in ("__init__", "__new__"):
+                        continue
+                    func = getattr(member, "__func__", member)
+                    if inspect.isfunction(func):
+                        yield module.__name__, f"{name}.{attr}", func
+
+
+def test_generate_member_cap_is_the_only_cap_parameter():
+    walked = list(public_callables())
+    assert len(walked) > 150
+    caps = {
+        (module, name, param)
+        for module, name, func in walked
+        for param in inspect.signature(func).parameters
+        if param.endswith("cap")
+    }
+    assert caps == {("clonelab.clone_engine", "generate", "member_cap")}
+
+
+def test_pol_and_the_local_closure_read_the_operation_cap_when_they_run(monkeypatch):
+    frag = ce.generate([], 2, universe=U2)
+    monkeypatch.setattr(fc, "OPERATION_CAP", 15)
+    message = "^16 operations of arity 2 on 2 elements exceeds cap 15$"
+    with pytest.raises(ResourceCapExceeded, match=message):
+        ce.pol([], 2, universe=U2)
+    for closure in (ip.local_closure_fragment, ul.ultra_closure_fragment):
+        with pytest.raises(ResourceCapExceeded, match=message):
+            closure(frag, 2, 2)
+    monkeypatch.setattr(fc, "OPERATION_CAP", 16)
+    assert ce.pol([], 2, universe=U2).member_count() == 4 + 16
+
+
+def test_filter_fragment_keeps_all_operations_order():
+    kept = ce.filter_fragment(U2, 2, lambda op: op.table[0] == 0)
+    assert [op.table for op in kept.members[1]] == [(0, 0), (0, 1)]
+    assert [op.table for op in kept.members[2]] == [
+        op.table for op in fc.all_operations(U2, 2) if op.table[0] == 0
+    ]
+    assert kept.generators == kept.members[1] + kept.members[2]
+
+
+def test_inv_reads_the_relation_cap_when_it_runs(monkeypatch):
+    frag = ce.generate([], 2, universe=U2)
+    monkeypatch.setattr(fc, "RELATION_CAP", 15)
+    with pytest.raises(ResourceCapExceeded, match="^2\\^4 relations of arity 2 exceeds cap 15$"):
+        ce.inv(frag, 2)
+    assert len(ce.inv(frag, 1)) == 4
+
+
+def test_the_vector_cap_is_read_when_the_pipeline_runs(monkeypatch):
+    F = sm.field_of_order(2)
+    inst = sm.random_instance(F, 4, random.Random(0))
+    monkeypatch.setattr(sm, "VECTOR_CAP", 8)
+    with pytest.raises(ResourceCapExceeded, match="^16 vectors exceed cap 8$"):
+        sm.enlarge_to_kernels(inst)
+    assert len(sm.all_vectors(F, 3)) == 8
+
+
+def test_cover_witness_builds_nothing_past_the_interpolant_cap(monkeypatch):
+    monkeypatch.setattr(sp, "INTERPOLANT_CAP", 7)
+    assert len(sp.alt_cover_witness(2, 0, 1, 6).interpolants) == 7
+    with pytest.raises(ResourceCapExceeded, match="^15 interpolants at k = 3 exceed cap 7$"):
+        sp.alt_cover_witness(3, 0, 1, 8)

@@ -951,3 +951,22 @@ def test_verify_of_a_forged_dagger_with_2_to_the_26_subfamilies_is_fast(tmp_path
     code, result, _ = invoke(["verify", cert, "--inputs", target, frag])
     assert time.perf_counter() - started < 1.0
     assert (code, result) == (0, {"valid": False, "reason": "certificate fails recheck"})
+
+
+def test_verify_of_a_forged_alt_cover_with_2_to_the_29_subfamilies_is_fast(tmp_path):
+    payload = {"k": 15, "a": 0, "b": 1, "window": 60,
+               "blocks": [[2 * i, 2 * i + 1] for i in range(30)], "interpolants": {}}
+    cert = write_json(tmp_path, "cert.json", cli.make_certificate("alt_cover", payload, []))
+    started = time.perf_counter()
+    code, result, _ = invoke(["verify", cert])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (0, {"valid": False, "reason": "cover witness fails recheck"})
+
+
+def test_cover_witness_past_the_interpolant_cap_exits_2_before_building(tmp_path):
+    cert = tmp_path / "cert.json"
+    code, result, _ = invoke(["perm", "cover-witness", "--k", "30", "--a", "0", "--b", "1",
+                              "--window", "62", "--cert", str(cert)])
+    assert (code, result) == (2, {"error": {"type": "resource_cap", "message": (
+        "2147483647 interpolants at k = 30 exceed cap 262144")}})
+    assert not cert.exists()

@@ -17,6 +17,7 @@ from clonelab.finite_core import (
     is_conservative,
     is_essentially_unary_direct,
     is_near_unanimity,
+    is_subfamily_key_set,
     neq,
     operation_from_callable,
     operation_from_json,
@@ -28,6 +29,7 @@ from clonelab.finite_core import (
     relation_from_json,
     relation_to_json,
     rho3,
+    subfamilies,
     superpose,
     universe_from_json,
     universe_to_json,
@@ -345,3 +347,17 @@ def test_relation_validation(u2):
         Relation(u2, 1, frozenset([(2,)]))
     # the empty relation is allowed
     assert Relation(u2, 2, frozenset()).tuples == frozenset()
+
+
+def test_subfamily_key_set_agrees_with_listing_the_subfamilies():
+    rng = random.Random(11)
+    for _ in range(400):
+        nblocks, max_size = rng.randrange(0, 6), rng.randrange(-1, 7)
+        keys = set(subfamilies(nblocks, max_size))
+        if keys and rng.random() < 0.5:
+            keys.discard(rng.choice(sorted(keys, key=sorted)))
+        if rng.random() < 0.3:
+            keys.add(frozenset(rng.sample(range(nblocks + 1), min(nblocks + 1, 2))))
+        assert is_subfamily_key_set(dict.fromkeys(keys), nblocks, max_size) == (
+            keys == set(subfamilies(nblocks, max_size))
+        )
