@@ -17,10 +17,12 @@ from collections import namedtuple
 
 from .clone_engine import CloneFragment, inv
 from .finite_core import (
-    Operation, is_near_unanimity, object_from_json, operation_from_json,
+    Operation, ResourceCapExceeded, is_near_unanimity, object_from_json, operation_from_json,
     parse_subset_key, preserves, subfamilies, superpose, table_from_json, universe_from_json,
 )
 from .ultralocal import Cover, cover_from_json, ultra_closure_fragment
+
+TREE_CAP = 1 << 18
 
 
 class InterpolantNode(namedtuple("InterpolantNode", "blocks base children", defaults=((),))):
@@ -82,9 +84,22 @@ BPResult = namedtuple("BPResult", "operation tree")
 
 def bp_interpolate(inst: BPInstance) -> BPResult:
     """Build the full-cover interpolant bottom-up, memoizing one
-    interpolant per subfamily per level."""
+    interpolant per subfamily per level.
+
+    The tree has T(n) nodes for n blocks, where T(k) = 1 for k < d and
+    1 + d*T(k-1) otherwise; no subfamily loop is longer. Past TREE_CAP
+    nodes nothing is built.
+    """
     d = inst.h.arity
     nblocks = len(inst.cover.blocks)
+    nodes = 1
+    for _ in range(d, nblocks + 1):
+        nodes = 1 + d * nodes
+        if nodes > TREE_CAP:
+            raise ResourceCapExceeded(
+                f"interpolant tree for {nblocks} blocks under a {d}-ary near-unanimity "
+                f"operation exceeds cap {TREE_CAP} nodes"
+            )
     memo: dict[frozenset[int], tuple[Operation, InterpolantNode]] = {}
     for key, t in inst.base_interpolants.items():
         memo[key] = (t, InterpolantNode(tuple(sorted(key)), base=True))
@@ -136,11 +151,12 @@ def nu_ultraclosure_check(
         raise ValueError("no near-unanimity member found in the fragment")
     bound = fragment.arity_bound if arity_bound is None else arity_bound
     closure = ultra_closure_fragment(fragment, h.arity, bound)
+    tables = {j: fragment.tables(j) for j in range(1, bound + 1)}
     extras = tuple(
         op
         for j in range(1, bound + 1)
         for op in closure.members[j]
-        if op.table not in fragment.tables(j)
+        if op.table not in tables[j]
     )
     checked = closure.member_count()
     return NUClosureReport(not extras, h, extras, checked)

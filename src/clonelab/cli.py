@@ -306,15 +306,13 @@ def _cmd_detect(args, out) -> int:
         _emit(out, result)
         return 0
 
-    if args.what == "gs":
-        op = _load_operation(args.op)
-        if args.ideal is None:
-            raise CliInputError("gs detection needs --ideal")
-        result = {"member": structure_detect.goldstern_shelah_member(op, args.ideal)}
-        _emit(out, result)
-        return 0
-
-    raise CliInputError(f"unknown detector {args.what!r}")
+    # gs, the last of the parser's choices
+    op = _load_operation(args.op)
+    if args.ideal is None:
+        raise CliInputError("gs detection needs --ideal")
+    result = {"member": structure_detect.goldstern_shelah_member(op, args.ideal)}
+    _emit(out, result)
+    return 0
 
 
 def _parse_point_list(text: str) -> list[int]:
@@ -357,16 +355,14 @@ def _cmd_perm(args, out) -> int:
         _emit(out, payload)
         return 0
 
-    if args.what == "altb-check":
-        _require(args, "map", "support", "window")
-        moved = _load_moved_map(args.map)
-        support = _parse_point_list(args.support)
-        probes = [x for x in range(args.window) if x not in set(support)]
-        member = symbolic_perms.alt_B_locally_closed_check(moved, support, probes)
-        _emit(out, {"member": member})
-        return 0
-
-    raise CliInputError(f"unknown permutation command {args.what!r}")
+    # altb-check, the last of the parser's choices
+    _require(args, "map", "support", "window")
+    moved = _load_moved_map(args.map)
+    support = _parse_point_list(args.support)
+    probes = [x for x in symbolic_perms.window_points(args.window) if x not in set(support)]
+    member = symbolic_perms.alt_B_locally_closed_check(moved, support, probes)
+    _emit(out, {"member": member})
+    return 0
 
 
 def _cmd_module(args, out) -> int:
@@ -384,16 +380,14 @@ def _cmd_module(args, out) -> int:
         _emit(out, {"result": True, **payload})
         return 0
 
-    if args.what == "demo":
-        F = simple_module.field_of_order(args.field)
-        inst = simple_module.random_instance(F, args.dim, random.Random(args.seed))
-        result = simple_module.instance_to_json(inst)
-        if args.out:
-            _write_json(args.out, result)
-        _emit(out, result)
-        return 0
-
-    raise CliInputError(f"unknown module command {args.what!r}")
+    # demo, the last of the parser's choices
+    F = simple_module.field_of_order(args.field)
+    inst = simple_module.random_instance(F, args.dim, random.Random(args.seed))
+    result = simple_module.instance_to_json(inst)
+    if args.out:
+        _write_json(args.out, result)
+    _emit(out, result)
+    return 0
 
 
 # --- certificate verification ---------------------------------------------------

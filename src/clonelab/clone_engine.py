@@ -36,6 +36,7 @@ tuple path.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from .finite_core import (
     Operation,
@@ -61,51 +62,15 @@ from .finite_core import (
 DEFAULT_MEMBER_CAP = 200_000
 
 
-class CloneFragment:
+class CloneFragment(namedtuple("CloneFragment", "universe arity_bound generators members")):
     """The arity-<=k part of a generated clone.
 
     members maps each arity 1..arity_bound to the tuple of that arity's
     members in insertion order (projections first, then closure rounds).
-    Fragments are immutable and compare equal on (universe, arity_bound,
-    generators, members).
+    The members dict makes a fragment unhashable.
     """
 
-    __slots__ = ("universe", "arity_bound", "generators", "members", "_tables")
-
-    def __init__(
-        self,
-        universe: Universe,
-        arity_bound: int,
-        generators: tuple[Operation, ...],
-        members: dict[int, tuple[Operation, ...]],
-    ):
-        set_field = object.__setattr__
-        set_field(self, "universe", universe)
-        set_field(self, "arity_bound", arity_bound)
-        set_field(self, "generators", generators)
-        set_field(self, "members", members)
-        tables = {j: frozenset(op.table for op in ops) for j, ops in members.items()}
-        set_field(self, "_tables", tables)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a CloneFragment")
-
-    def _key(self) -> tuple:
-        return (self.universe, self.arity_bound, self.generators, self.members)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"CloneFragment(universe={self.universe!r}, arity_bound={self.arity_bound!r}, "
-            f"generators={self.generators!r}, members={self.members!r})"
-        )
+    __slots__ = ()
 
     @classmethod
     def from_members(cls, universe: Universe, arity_bound: int, members) -> "CloneFragment":
@@ -114,7 +79,8 @@ class CloneFragment:
         return cls(universe, arity_bound, generators, members)
 
     def tables(self, arity: int) -> frozenset[tuple[int, ...]]:
-        return self._tables[arity]
+        """The set of the arity's member tables, built on each call."""
+        return frozenset(op.table for op in self.members[arity])
 
     def member_count(self) -> int:
         return sum(len(ops) for ops in self.members.values())
@@ -157,12 +123,6 @@ def generate(
             for t in _close_arity(universe, generators, j, member_cap)
         )
     return CloneFragment(universe, arity_bound, generators, members)
-
-
-def projection_fragment(universe: Universe, arity_bound: int) -> CloneFragment:
-    """The fragment of the clone generated by the empty set: projections only."""
-    members = {j: tuple(projections(universe, j)) for j in range(1, arity_bound + 1)}
-    return CloneFragment(universe, arity_bound, (), members)
 
 
 def _close_arity(universe, generators, j, member_cap):

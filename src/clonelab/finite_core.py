@@ -368,7 +368,7 @@ def all_relations(universe: Universe, arity: int):
 #
 # universe  {"size": m, "labels": [...]?}
 # operation {"arity": n, "table": [int]}         (universe inferable)
-# relation  {"arity": r, "tuples": [[int]]}
+# relation  {"arity": r, "tuples": [[int]], "universe": {...}}
 
 def universe_to_json(universe: Universe) -> dict:
     out: dict = {"size": universe.size}
@@ -449,11 +449,7 @@ def relation_from_json(data: dict, universe: Universe | None = None) -> Relation
     arity = int_from_json(data["arity"], "arity")
     tuples = frozenset(table_from_json(t, "relation tuple") for t in data["tuples"])
     if universe is None:
-        if "universe" in data:
-            universe = universe_from_json(data["universe"])
-        else:
-            size = max((max(t) for t in tuples if t), default=0) + 1
-            universe = Universe(size)
+        universe = universe_from_json(data["universe"])
     return Relation(universe, arity, tuples)
 
 

@@ -18,6 +18,7 @@ from .finite_core import (
 )
 
 INTERPOLANT_CAP = 1 << 18
+WINDOW_CAP = 1 << 16
 
 
 class FinSuppPermutation:
@@ -195,7 +196,8 @@ class SymbolicCover(namedtuple("SymbolicCover", "window blocks")):
             if block & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= block
-        if seen != set(range(window)):
+        # window distinct points, all in [0, window), are the whole window.
+        if len(seen) != window or any(not 0 <= x < window for x in seen):
             raise ValueError("blocks must partition the window")
         return tuple.__new__(cls, (window, blocks))
 
@@ -208,11 +210,18 @@ class AltCoverWitness(namedtuple("AltCoverWitness", "k a b cover interpolants"))
     __slots__ = ()
 
 
+def window_points(window: int) -> range:
+    """range(window), once the window is known not to exceed WINDOW_CAP."""
+    if window > WINDOW_CAP:
+        raise ResourceCapExceeded(f"window {window} exceeds cap {WINDOW_CAP}")
+    return range(window)
+
+
 def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
     """Window partition witnessing that the transposition (a b) agrees
     with an even permutation on every union of at most k blocks. There
     is one interpolant per subfamily, 2**(k+1) - 1 of them, and past
-    INTERPOLANT_CAP none is built.
+    INTERPOLANT_CAP none is built; nor is a window past WINDOW_CAP listed.
 
     The partition puts a and b into the first block and uses consecutive
     runs of equal size (the last block absorbs the remainder), so every
@@ -239,7 +248,7 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
         raise ResourceCapExceeded(
             f"{count} interpolants at k = {k} exceed cap {INTERPOLANT_CAP}"
         )
-    order = [a, b] + sorted(set(range(window)) - {a, b})
+    order = [a, b] + sorted(set(window_points(window)) - {a, b})
     blocks = []
     for i in range(nblocks):
         if i < nblocks - 1:

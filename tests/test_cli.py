@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import clonelab
-from clonelab import cli, finite_core, interpolation, ultralocal
+from clonelab import cli, finite_core, interpolation, symbolic_perms, ultralocal
 from clonelab.cli import check_certificate, run
 
 
@@ -969,4 +970,51 @@ def test_cover_witness_past_the_interpolant_cap_exits_2_before_building(tmp_path
                               "--window", "62", "--cert", str(cert)])
     assert (code, result) == (2, {"error": {"type": "resource_cap", "message": (
         "2147483647 interpolants at k = 30 exceed cap 262144")}})
+    assert not cert.exists()
+
+
+def test_verify_of_a_forged_alt_cover_with_a_window_of_10_to_the_9_is_fast(tmp_path):
+    payload = {"k": 1, "a": 0, "b": 1, "window": 10 ** 9,
+               "blocks": [[0, 1], [2, 3]], "interpolants": {}}
+    cert = write_json(tmp_path, "cert.json", cli.make_certificate("alt_cover", payload, []))
+    started = time.perf_counter()
+    code, result, _ = invoke(["verify", cert])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (0, {"valid": False, "reason": (
+        "unusable payload: blocks must partition the window")})
+
+
+def test_windows_past_the_window_cap_exit_2_before_listing(tmp_path):
+    cert = tmp_path / "cert.json"
+    window = str(symbolic_perms.WINDOW_CAP + 1)
+    message = {"error": {"type": "resource_cap", "message": f"window {window} exceeds cap 65536"}}
+    started = time.perf_counter()
+    code, result, _ = invoke(["perm", "cover-witness", "--k", "1", "--a", "0", "--b", "1",
+                              "--window", window, "--cert", str(cert)])
+    assert (code, result) == (2, message)
+    assert not cert.exists()
+    moved = write_json(tmp_path, "map.json", {"moved": {"0": 1, "1": 0}})
+    code, result, _ = invoke(["perm", "altb-check", "--map", moved, "--support", "0,1",
+                              "--window", window])
+    assert (code, result) == (2, message)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_bp_past_the_tree_cap_exits_2_before_building(tmp_path):
+    # 20 blocks over the 32 points of a 5-ary target: 19 singletons and the rest.
+    table = [bin(i).count("1") % 2 for i in range(32)]
+    cover = [[i] for i in range(19)] + [list(range(19, 32))]
+    base = {",".join(map(str, key)): table
+            for size in range(3) for key in itertools.combinations(range(20), size)}
+    maj = [0, 0, 0, 1, 0, 1, 1, 1]
+    inst = write_json(tmp_path, "inst.json", {
+        "universe": {"size": 2}, "f": {"arity": 5, "table": table},
+        "h": {"arity": 3, "table": maj}, "cover": cover, "base_interpolants": base})
+    cert = tmp_path / "cert.json"
+    started = time.perf_counter()
+    code, result, _ = invoke(["bp", "--instance", inst, "--cert", str(cert)])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (2, {"error": {"type": "resource_cap", "message": (
+        "interpolant tree for 20 blocks under a 3-ary near-unanimity operation "
+        "exceeds cap 262144 nodes")}})
     assert not cert.exists()

@@ -9,7 +9,6 @@ from clonelab.clone_engine import (
     generate,
     inv,
     pol,
-    projection_fragment,
     projections,
 )
 from clonelab.finite_core import (
@@ -133,7 +132,7 @@ def test_inv_of_full_clone_unary(u2, gates):
 
 
 def test_inv_of_projections_is_everything(u2):
-    frag = projection_fragment(u2, 2)
+    frag = generate([], 2, universe=u2)
     assert len(inv(frag, 2)) == 4 + 16
 
 

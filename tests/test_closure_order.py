@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from clonelab.clone_engine import generate, projection_fragment
+from clonelab.clone_engine import generate
 from clonelab.finite_core import (
     Operation,
     ResourceCapExceeded,
@@ -160,7 +160,6 @@ def test_one_element_universe_matches_naive_order():
     for gens in ([], [Operation(u1, 2, (0,))]):
         fragment = generate(gens, 3, universe=u1)
         assert [len(fragment.members[j]) for j in (1, 2, 3)] == [1, 1, 1]
-    assert [len(ops) for ops in projection_fragment(u1, 3).members.values()] == [1, 1, 1]
 
 
 def test_full_layers(u2, gates):

@@ -338,6 +338,12 @@ def test_json_round_trips(u2, gates):
     assert inferred == op
     rel = rho3(u2)
     assert relation_from_json(relation_to_json(rel), u2) == rel
+    # without a universe argument the relation's own "universe" is read,
+    # never guessed from its largest entry
+    data = {"universe": {"size": 3}, "arity": 2, "tuples": [[0, 1]]}
+    assert relation_from_json(data).universe == Universe(3)
+    with pytest.raises(KeyError):
+        relation_from_json({"arity": 2, "tuples": [[0, 1]]})
 
 
 def test_relation_validation(u2):
