@@ -20,7 +20,7 @@ from .finite_core import (
     Operation, ResourceCapExceeded, is_near_unanimity, object_from_json, operation_from_json,
     parse_subset_key, preserves, subfamilies, superpose, table_from_json, universe_from_json,
 )
-from .ultralocal import Cover, cover_from_json, ultra_closure_fragment
+from .ultralocal import Cover, cover_from_json, first_disagreement, ultra_closure_fragment
 
 TREE_CAP = 1 << 18
 
@@ -67,15 +67,13 @@ class BPInstance(namedtuple("BPInstance", "f h cover base_interpolants")):
         for key in subfamilies(len(cover.blocks), h.arity - 1):
             if key not in base_interpolants:
                 raise ValueError(f"missing base interpolant for blocks {sorted(key)}")
-        for key, t in base_interpolants.items():
-            if t.universe != f.universe or t.arity != f.arity:
-                raise ValueError("base interpolant shape mismatch")
-            for b in key:
-                for point in cover.blocks[b]:
-                    if t.table[t.index_of(point)] != f.table[f.index_of(point)]:
-                        raise ValueError(
-                            f"base interpolant for blocks {sorted(key)} disagrees at {point}"
-                        )
+        if any(t.universe != f.universe or t.arity != f.arity for t in base_interpolants.values()):
+            raise ValueError("base interpolant shape mismatch")
+        wrong = first_disagreement(f, cover, base_interpolants)
+        if wrong is not None:
+            key, index = wrong
+            point = next(itertools.islice(f.universe.tuples(f.arity), index, None))
+            raise ValueError(f"base interpolant for blocks {sorted(key)} disagrees at {point}")
         return tuple.__new__(cls, (f, h, cover, base_interpolants))
 
 

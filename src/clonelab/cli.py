@@ -152,11 +152,8 @@ def _load_generators(path: str):
             ops_json, universe = data, None
         else:
             ops_json = data.get("operations", [])
-            universe = (
-                finite_core.universe_from_json(data["universe"])
-                if "universe" in data
-                else None
-            )
+            universe = (finite_core.universe_from_json(data["universe"])
+                        if "universe" in data else None)
         return [finite_core.operation_from_json(o, universe) for o in ops_json], universe
     except (KeyError, TypeError) as exc:
         raise CliInputError(f"bad generators file {path}: field error: {exc}")
@@ -439,21 +436,17 @@ def check_certificate(cert: dict, input_paths) -> tuple[bool, str]:
     kind = cert["kind"]
     if not isinstance(kind, str) or kind not in CERTIFICATES:
         return False, f"unknown certificate kind {kind!r}"
-    body = {
-        "kind": kind,
-        "payload": cert["payload"],
-        "inputs_digest": cert["inputs_digest"],
-    }
+    body = {key: cert[key] for key in ("kind", "payload", "inputs_digest")}
     if _sha256_hex(canonical_json(body).encode()) != cert["payload_digest"]:
         return False, "payload digest mismatch"
-    if digest_files(input_paths) != cert["inputs_digest"]:
-        return False, "input digest mismatch"
     inputs, decode, recheck = CERTIFICATES[kind]
     if len(input_paths) != len(inputs):
         if not inputs:
             return False, f"{kind} certificates take no inputs"
         names = " ".join(name for name, _ in inputs)
         return False, f"{kind} verification needs --inputs {names}"
+    if digest_files(input_paths) != cert["inputs_digest"]:
+        return False, "input digest mismatch"
     try:
         loaded = [load(path) for (_, load), path in zip(inputs, input_paths)]
         try:

@@ -377,8 +377,12 @@ def universe_to_json(universe: Universe) -> dict:
     return out
 
 
-def universe_from_json(data: dict) -> Universe:
-    labels = tuple(data["labels"]) if "labels" in data else None
+def universe_from_json(data) -> Universe:
+    data = object_from_json(data, "universe")
+    labels = data.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("universe labels must be a list of strings")
+    labels = tuple(labels) if "labels" in data else None
     return Universe(int_from_json(data["size"], "universe size"), labels)
 
 

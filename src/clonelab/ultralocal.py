@@ -9,17 +9,19 @@ domain; partitions suffice because any witnessing cover can be refined to
 the atoms of the Boolean algebra its blocks generate, and those atoms
 form a partition.
 
-One kernel (_CoverKernel) tests candidate covers for search_dagger,
-under all three strategies, and for check_dagger. Within one call it
-remembers, for each union bitmask of blocks, the first member whose
-agreement mask contains it, so a union met in an earlier partition is
-looked up rather than rescanned. It also keeps, per block count, the
-subfamilies listed so far, so they are listed once and only as far as a
-cover reads them. The exhaustive walk updates one list of block masks in
-place. Both enumerations are capped (PARTITION_CAP partitions,
-SUBFAMILY_CAP subfamilies per block count), and
-verify_dagger_certificate counts a certificate's keys instead of listing
-the subfamilies they must be.
+A Cover's blocks are sets of domain indices (table positions, as the
+dagger payload stores them), and first_disagreement is the one agreement
+check for dagger certificates and near-unanimity base interpolants. One
+kernel (_CoverKernel) tests candidate covers for search_dagger, under all
+three strategies, and for check_dagger. Within one call it remembers, for
+each union bitmask of blocks, the first member whose agreement mask
+contains it, so a union met in an earlier partition is looked up rather
+than rescanned. It also keeps, per block count, the subfamilies listed so
+far, so they are listed once and only as far as a cover reads them. The
+exhaustive walk updates one list of block masks in place. Both
+enumerations are capped (PARTITION_CAP partitions, SUBFAMILY_CAP
+subfamilies per block count), and verify_dagger_certificate counts a
+certificate's keys instead of listing the subfamilies they must be.
 
 The dual formulation tracks, for each member t, the set of lam-column
 matrices over the domain on which t agrees with the target columnwise.
@@ -61,31 +63,34 @@ SUBFAMILY_CAP = 1 << 18
 
 
 class Cover(namedtuple("Cover", "universe domain_arity blocks")):
-    """A finite cover of universe**domain_arity by nonempty point sets
-    (blocks is a tuple of frozensets of domain points)."""
+    """A finite cover of universe**domain_arity by nonempty blocks of
+    domain indices (table positions), given as iterables and stored as a
+    tuple of frozensets; the first index outside the domain is reported."""
 
     __slots__ = ()
 
     def __new__(cls, universe: Universe, domain_arity: int, blocks):
-        if not blocks:
-            raise ValueError("cover needs at least one block")
-        union = set()
+        npoints = universe.size ** domain_arity
+        frozen = []
         for block in blocks:
-            if not block:
-                raise ValueError("empty cover blocks are rejected")
-            for point in block:
-                if len(point) != domain_arity:
-                    raise ValueError(f"point {point} has wrong arity")
-                if any(not 0 <= x < universe.size for x in point):
-                    raise ValueError(f"point {point} outside universe")
-            union |= block
-        if len(union) != universe.size ** domain_arity:
+            for i in block:
+                if not 0 <= i < npoints:
+                    raise ValueError(f"cover point index {i} outside the domain")
+            frozen.append(frozenset(block))
+        if not frozen:
+            raise ValueError("cover needs at least one block")
+        if not all(frozen):
+            raise ValueError("empty cover blocks are rejected")
+        if len(frozenset().union(*frozen)) != npoints:
             raise ValueError("blocks do not cover the whole domain")
-        return tuple.__new__(cls, (universe, domain_arity, blocks))
+        return tuple.__new__(cls, (universe, domain_arity, tuple(frozen)))
 
     def is_partition(self) -> bool:
         total = sum(len(b) for b in self.blocks)
         return total == self.universe.size ** self.domain_arity
+
+    def block_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << i for i in block) for block in self.blocks)
 
 
 class DaggerCertificate(namedtuple("DaggerCertificate", "cover lam interpolants")):
@@ -116,7 +121,9 @@ class DaggerSearchOutcome(namedtuple("DaggerSearchOutcome", "certificate disproo
         return self.certificate is not None
 
 
-def _members_and_masks(f: Operation, fragment: CloneFragment):
+def _members_and_masks(f: Operation, fragment: CloneFragment, lam: int):
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
     if f.universe != fragment.universe:
         raise ValueError("target and fragment universes differ")
     if f.arity > fragment.arity_bound:
@@ -134,10 +141,8 @@ def check_dagger(
     subfamily (by size, then lexicographically) is reported."""
     if cover.universe != f.universe or cover.domain_arity != f.arity:
         raise ValueError("cover does not match the target's domain")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    members, masks = _members_and_masks(f, fragment)
-    block_masks = [sum(1 << f.index_of(p) for p in block) for block in cover.blocks]
+    members, masks = _members_and_masks(f, fragment, lam)
+    block_masks = cover.block_masks()
     kernel = _CoverKernel(masks, lam)
     failing = kernel.first_failure(block_masks)
     if failing is not None:
@@ -291,10 +296,8 @@ def search_dagger(
     most SUBFAMILY_CAP subfamilies are listed for one block count; past
     either cap, ResourceCapExceeded says how far the search got.
     """
-    members, masks = _members_and_masks(f, fragment)
+    members, masks = _members_and_masks(f, fragment, lam)
     npoints = len(f.table)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
 
     if strategy == "singletons":
         candidates = iter([[1 << i for i in range(npoints)]])
@@ -318,7 +321,7 @@ def search_dagger(
     for block_masks in itertools.islice(candidates, PARTITION_CAP):
         if kernel.first_failure(block_masks) is None:
             blocks = [[i for i in range(npoints) if mask >> i & 1] for mask in block_masks]
-            cover = cover_from_json(f.universe, f.arity, blocks)
+            cover = Cover(f.universe, f.arity, blocks)
             certificate = DaggerCertificate(cover, lam, kernel.interpolants(block_masks, members))
             return DaggerSearchOutcome(certificate, False, strategy)
     if next(candidates, None) is not None:
@@ -331,34 +334,41 @@ def search_dagger(
     return DaggerSearchOutcome(None, disproof, strategy)
 
 
+def first_disagreement(f: Operation, cover: Cover, interpolants):
+    """The first subfamily, in interpolants' order, whose interpolant
+    disagrees with f somewhere on the union of its blocks, and the lowest
+    domain index where it does; None when every interpolant agrees."""
+    block_masks = cover.block_masks()
+    for key, t in interpolants.items():
+        union = 0
+        for b in key:
+            union |= block_masks[b]
+        wrong = union & ~agreement_mask(f, t)
+        if wrong:
+            return key, (wrong & -wrong).bit_length() - 1
+    return None
+
+
 def verify_dagger_certificate(
     cert: DaggerCertificate, f: Operation, fragment: CloneFragment
 ) -> bool:
     """Recheck a certificate from scratch: cover validity, exact subfamily
-    key set, membership of every interpolant, and pointwise agreement."""
+    key set, membership of every interpolant, and agreement on every
+    subfamily's union."""
     try:
         cover = Cover(cert.cover.universe, cert.cover.domain_arity, cert.cover.blocks)
     except ValueError:
         return False
-    if cert.lam < 0:
-        return False
-    if cover.universe != f.universe or cover.domain_arity != f.arity:
-        return False
-    if f.arity > fragment.arity_bound:
+    if (cert.lam < 0 or f.arity > fragment.arity_bound
+            or (cover.universe, cover.domain_arity) != (f.universe, f.arity)):
         return False
     if not is_subfamily_key_set(cert.interpolants, len(cover.blocks), cert.lam):
         return False
     member_tables = fragment.tables(f.arity)
-    for key, t in cert.interpolants.items():
-        if t.universe != f.universe or t.arity != f.arity:
+    for t in cert.interpolants.values():
+        if t.universe != f.universe or t.arity != f.arity or t.table not in member_tables:
             return False
-        if t.table not in member_tables:
-            return False
-        for b in key:
-            for point in cover.blocks[b]:
-                if f.table[f.index_of(point)] != t.table[t.index_of(point)]:
-                    return False
-    return True
+    return first_disagreement(f, cover, cert.interpolants) is None
 
 
 def ultra_closure_fragment(fragment: CloneFragment, kappa, arity_bound: int) -> CloneFragment:
@@ -381,25 +391,18 @@ def ultra_closure_fragment(fragment: CloneFragment, kappa, arity_bound: int) -> 
 # finite_core.subset_key strings.
 
 def cover_from_json(universe: Universe, arity: int, blocks) -> Cover:
-    """A cover given as lists of lexicographic domain positions."""
-    domain = list(universe.tuples(arity))
-
-    def point(i) -> tuple[int, ...]:
-        if not 0 <= int_from_json(i, "cover point index") < len(domain):
-            raise ValueError(f"cover point index {i} outside the domain")
-        return domain[i]
-
-    return Cover(universe, arity, tuple(frozenset(map(point, block)) for block in blocks))
+    """A cover given as lists of lexicographic domain indices."""
+    return Cover(universe, arity, [
+        [int_from_json(i, "cover point index") for i in block] for block in blocks
+    ])
 
 
 def dagger_to_json(cert: DaggerCertificate) -> dict:
-    universe = cert.cover.universe
-    index = {p: i for i, p in enumerate(universe.tuples(cert.cover.domain_arity))}
     return {
         "lambda": cert.lam,
         "arity": cert.cover.domain_arity,
-        "universe_size": universe.size,
-        "cover": [sorted(index[p] for p in block) for block in cert.cover.blocks],
+        "universe_size": cert.cover.universe.size,
+        "cover": [sorted(block) for block in cert.cover.blocks],
         "interpolants": {
             subset_key(key): list(op.table) for key, op in cert.interpolants.items()
         },
@@ -409,7 +412,7 @@ def dagger_to_json(cert: DaggerCertificate) -> dict:
 def dagger_from_json(data: dict, target: Operation) -> DaggerCertificate:
     """The certificate in data, checked against target. The payload's
     universe size and arity must be the target's; they are compared before
-    the cover lists the size**arity domain points."""
+    the cover is read."""
     m = int_from_json(data["universe_size"], "universe_size")
     n = int_from_json(data["arity"], "arity")
     if (m, n) != (target.universe.size, target.arity):

@@ -156,6 +156,9 @@ BAD_GENERATORS = {
     "dup_labels": {"universe": {"size": 2, "labels": ["a", "a"]}, "operations": []},
     "size_zero": {"universe": {"size": 0}, "operations": []},
     "universe_not_object": {"universe": 2, "operations": []},
+    "labels_string": {"universe": {"size": 2, "labels": "ab"}, "operations": []},
+    "labels_ints": {"universe": {"size": 2, "labels": [1, 2]}, "operations": []},
+    "labels_null": {"universe": {"size": 2, "labels": None}, "operations": []},
 }
 
 BAD_JSON = {

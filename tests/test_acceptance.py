@@ -46,6 +46,7 @@ from clonelab.symbolic_perms import (
 )
 from clonelab.ultralocal import search_dagger, ultra_closure_fragment
 from fip_oracle import equalizer_family, fip_holds, fip_holds_lazy
+from point_covers import point_cover
 
 
 U2 = Universe(2)
@@ -197,8 +198,6 @@ def test_criterion_05_near_unanimity_closure_and_interpolants():
     assert fragments_equal(closure, frag)
 
     from clonelab.baker_pixley import BPInstance, bp_interpolate
-    from clonelab.ultralocal import Cover
-
     rng = random.Random(505)
     domain = list(U2.tuples(3))
     successes = 0
@@ -212,7 +211,7 @@ def test_criterion_05_near_unanimity_closure_and_interpolants():
             frozenset(domain[i] for i, a in enumerate(assignment) if a == label)
             for label in labels
         )
-        cover = Cover(U2, 3, blocks)
+        cover = point_cover(U2, 3, blocks)
         f = Operation(U2, 3, tuple(rng.randrange(2) for _ in domain))
         base = {}
         for sz in range(min(2, len(blocks)) + 1):

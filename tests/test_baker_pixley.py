@@ -17,19 +17,16 @@ from clonelab.baker_pixley import (
 from clonelab.clone_engine import contains, generate
 from clonelab.finite_core import Operation, all_operations
 from clonelab.ultralocal import Cover
+from point_covers import point_cover
 
 
 def random_partition_cover(universe, arity, max_blocks, rng):
-    domain = list(universe.tuples(arity))
     while True:
-        assignment = [rng.randrange(max_blocks) for _ in domain]
+        assignment = [rng.randrange(max_blocks) for _ in range(universe.size ** arity)]
         labels = sorted(set(assignment))
         if len(labels) >= 2:
             break
-    blocks = tuple(
-        frozenset(domain[i] for i, a in enumerate(assignment) if a == label)
-        for label in labels
-    )
+    blocks = [[i for i, a in enumerate(assignment) if a == label] for label in labels]
     return Cover(universe, arity, blocks)
 
 
@@ -37,7 +34,6 @@ def synthetic_instance(universe, f, h, cover, rng):
     """Base interpolants agree with f on their blocks and are random
     elsewhere; nothing ties them to any fragment."""
     d = h.arity
-    domain = list(universe.tuples(f.arity))
     base = {}
     nblocks = len(cover.blocks)
     for size in range(min(d - 1, nblocks) + 1):
@@ -46,8 +42,7 @@ def synthetic_instance(universe, f, h, cover, rng):
             for i in combo:
                 union |= cover.blocks[i]
             table = tuple(
-                f.table[f.index_of(p)] if p in union else rng.randrange(universe.size)
-                for p in domain
+                v if i in union else rng.randrange(universe.size) for i, v in enumerate(f.table)
             )
             base[frozenset(combo)] = Operation(universe, f.arity, table)
     return BPInstance(f, h, cover, base)
@@ -55,7 +50,7 @@ def synthetic_instance(universe, f, h, cover, rng):
 
 def test_small_cover_returns_supplied(u2, gates):
     maj = gates["maj"]
-    cover = Cover(u2, 2, (frozenset(u2.tuples(2)),))
+    cover = Cover(u2, 2, [range(4)])
     inst = synthetic_instance(u2, gates["and"], maj, cover, random.Random(0))
     result = bp_interpolate(inst)
     assert result.operation.table == gates["and"].table
@@ -64,13 +59,7 @@ def test_small_cover_returns_supplied(u2, gates):
 
 def test_self_interpolation(u2, gates):
     maj = gates["maj"]
-    domain = list(u2.tuples(3))
-    blocks = (
-        frozenset(domain[:3]),
-        frozenset(domain[3:6]),
-        frozenset(domain[6:]),
-    )
-    cover = Cover(u2, 3, blocks)
+    cover = Cover(u2, 3, [range(3), range(3, 6), range(6, 8)])
     base = {}
     for size in range(3):
         for combo in itertools.combinations(range(3), size):
@@ -132,7 +121,7 @@ def test_bp_tree_json_round_trip_rechecks(u2, gates):
 
 def test_instance_validation(u2, gates):
     maj, and_op = gates["maj"], gates["and"]
-    cover = Cover(u2, 2, (frozenset([(0, 0), (0, 1)]), frozenset([(1, 0), (1, 1)])))
+    cover = point_cover(u2, 2, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])
     good_base = {
         frozenset(): gates["p1"],
         frozenset({0}): and_op,

@@ -830,6 +830,39 @@ def test_alt_cover_takes_no_inputs(workdir):
     )
 
 
+def test_verify_counts_the_inputs_before_digesting_them(workdir):
+    # The files are counted before they are digested, so too few or too
+    # many name the inputs the kind needs.
+    dagger = str(workdir["dir"] / "dagger.json")
+    invoke(["ultra", "--target", workdir["and"], "--fragment", workdir["nandfrag"],
+            "--lambda", "2", "--cert", dagger])
+    needs = "dagger verification needs --inputs target.json fragment.json"
+    for inputs in ([], [workdir["and"]], [workdir["and"], workdir["nandfrag"], workdir["not"]]):
+        argv = ["verify", dagger] + (["--inputs", *inputs] if inputs else [])
+        assert invoke(argv)[:2] == (0, {"valid": False, "reason": needs})
+    alt = str(workdir["dir"] / "alt.json")
+    invoke(["perm", "cover-witness", "--k", "1", "--a", "0", "--b", "1", "--window", "4",
+            "--cert", alt])
+    assert invoke(["verify", alt, "--inputs", workdir["not"]])[:2] == (
+        0, {"valid": False, "reason": "alt_cover certificates take no inputs"}
+    )
+
+
+@pytest.mark.parametrize("universe, message", [
+    (2, "universe must be an object, got int"),
+    ([2], "universe must be an object, got list"),
+    ({"size": 2, "labels": "ab"}, "universe labels must be a list of strings"),
+    ({"size": 2, "labels": [1, 2]}, "universe labels must be a list of strings"),
+    ({"size": 2, "labels": ["a", None]}, "universe labels must be a list of strings"),
+    ({"size": 2, "labels": None}, "universe labels must be a list of strings"),
+    ({"size": 2, "labels": []}, "labels must match universe size"),
+])
+def test_gen_reads_the_universe_strictly(tmp_path, universe, message):
+    gens = write_json(tmp_path, "gens.json", {"universe": universe, "operations": []})
+    code, result, _ = invoke(["gen", "--generators", gens, "--arity-bound", "1"])
+    assert code == 1 and result["error"] == {"type": "input", "message": message}
+
+
 def test_deeply_nested_json_is_input_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -114,6 +114,16 @@ def test_pol_rho3_binary(u2):
     assert all(is_essentially_unary_direct(op) for op in frag.members[2])
 
 
+def test_pol_and_inv_check_their_arguments(u2, u3):
+    with pytest.raises(ValueError, match=r"^pol\(\) with no relations needs an explicit universe$"):
+        pol([], 1)
+    for relations, universe in (([neq(u2), neq(u3)], None), ([neq(u2)], u3)):
+        with pytest.raises(ValueError, match="^relations live on different universes$"):
+            pol(relations, 1, universe=universe)
+    with pytest.raises(ValueError, match="^max arity must be >= 1$"):
+        inv(generate([], 1, universe=u2), 0)
+
+
 def test_pol_no_relations(u2):
     frag = pol([], 1, universe=u2)
     assert len(frag.members[1]) == 4

@@ -18,13 +18,13 @@ import pytest
 from clonelab.clone_engine import generate
 from clonelab.finite_core import Operation, Universe, all_operations, operation_from_callable
 from clonelab.ultralocal import (
-    Cover,
     DaggerCertificate,
     DaggerFailure,
     _partitions,
     check_dagger,
     search_dagger,
 )
+from point_covers import point_cover
 
 U2 = Universe(2)
 U3 = Universe(3)
@@ -91,7 +91,7 @@ def oracle_search(f, fragment, lam, strategy, max_blocks):
     for blocks in candidates:
         interpolants, _ = oracle_check(agreement, lam, blocks)
         if interpolants is not None:
-            return (tuple(frozenset(b) for b in blocks), interpolants), False
+            return (blocks, interpolants), False
     complete = strategy == "exhaustive_partitions" and (max_blocks or len(points)) >= len(points)
     return None, complete
 
@@ -108,7 +108,7 @@ def assert_matches_oracle(f, fragment, lam, strategy, max_blocks):
     blocks, interpolants = expected
     cert = outcome.certificate
     assert cert is not None, case
-    assert cert.lam == lam and cert.cover.blocks == blocks, case
+    assert cert.lam == lam and cert.cover == point_cover(f.universe, f.arity, blocks), case
     assert cert.interpolants == interpolants, case
 
 
@@ -203,7 +203,7 @@ def test_check_dagger_matches_oracle_on_random_covers(gates):
             ))
             agreement = agreement_sets(f, members)
             blocks = random_cover(universe, arity, rng)
-            cover = Cover(universe, arity, tuple(frozenset(b) for b in blocks))
+            cover = point_cover(universe, arity, blocks)
             for lam in range(4):
                 interpolants, failing = oracle_check(agreement, lam, blocks)
                 result = check_dagger(f, fragment, lam, cover)

@@ -32,8 +32,6 @@ ID = fc.Operation(U2, 1, (0, 1))
 AND = fc.Operation(U2, 2, (0, 0, 0, 1))
 XOR = fc.Operation(U2, 2, (0, 1, 1, 0))
 MAJ = fc.operation_from_callable(U2, 3, lambda a, b, c: (a & b) | (a & c) | (b & c))
-POINTS = ((0,), (1,))
-SINGLETONS = (frozenset({(0,)}), frozenset({(1,)}))
 GF2 = sm.field_of_order(2)
 I2 = sm.identity_map(GF2, 2)
 
@@ -43,11 +41,11 @@ def _fragment():
 
 
 def _cover():
-    return ul.Cover(U2, 1, SINGLETONS)
+    return ul.Cover(U2, 1, ({0}, {1}))
 
 
 def _bp_instance():
-    cover = ul.Cover(U2, 2, tuple(frozenset({p}) for p in U2.tuples(2)))
+    cover = ul.Cover(U2, 2, [{i} for i in range(4)])
     base = {key: AND for key in fc.subfamilies(len(cover.blocks), 2)}
     return bp.BPInstance(AND, MAJ, cover, base)
 
@@ -151,10 +149,10 @@ NEG_BAD = fc.Operation(U2, 1, (1, 1))
     (lambda: ip.InterpolationQuery(MAJ, _fragment(), 1), "target arity above fragment arity bound"),
     (lambda: ip.InterpolationQuery(AND, _fragment(), -1), "subset size must be >= 0"),
     (lambda: ul.Cover(U2, 1, ()), "cover needs at least one block"),
-    (lambda: ul.Cover(U2, 1, (frozenset(), frozenset(POINTS))), "empty cover blocks are rejected"),
-    (lambda: ul.Cover(U2, 1, (frozenset({(0, 1)}),)), "point (0, 1) has wrong arity"),
-    (lambda: ul.Cover(U2, 1, (frozenset({(2,)}),)), "point (2,) outside universe"),
-    (lambda: ul.Cover(U2, 1, (frozenset({(0,)}),)), "blocks do not cover the whole domain"),
+    (lambda: ul.Cover(U2, 1, ([], [0, 1])), "empty cover blocks are rejected"),
+    (lambda: ul.Cover(U2, 1, ([0, 1], [2])), "cover point index 2 outside the domain"),
+    (lambda: ul.Cover(U2, 1, ([0, 1], [5, -1])), "cover point index 5 outside the domain"),
+    (lambda: ul.Cover(U2, 1, ([0],)), "blocks do not cover the whole domain"),
     (lambda: bp.BPInstance(AND, fc.operation_from_callable(U4, 3, lambda a, b, c: a),
                            _bp_instance().cover, {}),
      "target and near-unanimity operation universes differ"),

@@ -6,6 +6,7 @@ import pytest
 from clonelab.clone_engine import fragments_equal, generate, pol
 from clonelab.finite_core import (
     Operation,
+    Relation,
     Universe,
     all_operations,
     constant_op,
@@ -20,6 +21,7 @@ from clonelab.interpolation import local_closure_fragment
 from clonelab.structure_detect import (
     AbelianGroup,
     PPFormula,
+    ProductCloneResult,
     ProductUniverse,
     closure_commutation_check,
     decompose_product,
@@ -96,6 +98,13 @@ def test_formula_errors(u2):
         eval_pp_formula(formula, {}, u2)  # unresolved name
     with pytest.raises(ValueError):
         eval_pp_formula(formula, {"r": rho3(u2)}, u2)  # arity mismatch
+
+
+def test_a_free_variable_no_atom_mentions_ranges_over_the_universe(u2):
+    ones = Relation(u2, 1, frozenset({(1,)}))
+    formula = PPFormula(("x", "y"), (), (("r", ("y",)),))
+    assert eval_pp_formula(formula, {"r": ones}, u2).tuples == frozenset({(0, 1), (1, 1)})
+    assert eval_pp_formula(PPFormula(("x",), (), ()), {}, u2).tuples == frozenset({(0,), (1,)})
 
 
 def test_repeated_variable_atom(u2):
@@ -191,6 +200,10 @@ def test_is_product_clone(u2, gates):
     assert result
     assert result.factor_left.tables(2) == generate([gates["and"]], 2).tables(2)
     assert result.factor_right.tables(2) == generate([gates["or"]], 2).tables(2)
+
+    # every projection splits, but the rectangular band operation is missing
+    projections_only = generate([], 2, universe=pu.paired)
+    assert is_product_clone(projections_only, pu) == ProductCloneResult(False, None, None, None)
 
     swap = Operation(pu.paired, 1, (3, 1, 2, 0))
     bad = generate([swap, star], 2)

@@ -24,16 +24,15 @@ from clonelab.ultralocal import (
     verify_dagger_certificate,
 )
 from fip_oracle import equalizer_family, fip_holds, fip_holds_lazy
+from point_covers import point_cover
 
 
 def full_cover(universe, arity):
-    return Cover(universe, arity, (frozenset(universe.tuples(arity)),))
+    return point_cover(universe, arity, [universe.tuples(arity)])
 
 
 def singleton_cover(universe, arity):
-    return Cover(
-        universe, arity, tuple(frozenset([p]) for p in universe.tuples(arity))
-    )
+    return point_cover(universe, arity, [[p] for p in universe.tuples(arity)])
 
 
 def small_corpus(u2, gates):
@@ -61,7 +60,9 @@ def test_cover_validation(u2):
     with pytest.raises(ValueError):
         Cover(u2, 1, (frozenset(),))  # empty block
     with pytest.raises(ValueError):
-        Cover(u2, 1, (frozenset([(0,)]),))  # misses a point
+        point_cover(u2, 1, [[(0,)]])  # misses a point
+    with pytest.raises(ValueError):
+        Cover(u2, 1, ([0, 1, 2],))  # an index outside the domain
     assert full_cover(u2, 2).is_partition()
 
 
@@ -81,9 +82,28 @@ def test_check_dagger_singleton_cover_realizes_interpolability(u2, gates):
         assert isinstance(result, DaggerCertificate) == expected
 
 
+def test_check_and_search_reject_bad_levels_and_targets(u2, u3, gates):
+    frag = generate([gates["and"]], 2)
+    and_op, maj = gates["and"], gates["maj"]
+    cases = [
+        (lambda: check_dagger(and_op, frag, -1, full_cover(u2, 2)), "lam must be >= 0"),
+        (lambda: search_dagger(and_op, frag, -1), "lam must be >= 0"),
+        (lambda: check_dagger(and_op, frag, 1, full_cover(u2, 1)),
+         "cover does not match the target's domain"),
+        (lambda: check_dagger(maj, frag, 1, full_cover(u2, 3)),
+         "target arity above fragment arity bound"),
+        (lambda: search_dagger(maj, frag, 1), "target arity above fragment arity bound"),
+        (lambda: search_dagger(Operation(u3, 1, (0, 1, 2)), frag, 1),
+         "target and fragment universes differ"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_check_dagger_failure_block(u2, gates):
     frag = generate([], 1, universe=u2)
-    cover = Cover(u2, 1, (frozenset([(0,)]), frozenset([(1,)])))
+    cover = point_cover(u2, 1, [[(0,)], [(1,)]])
     result = check_dagger(gates["not"], frag, 1, cover)
     assert isinstance(result, DaggerFailure)
     assert result.failing_blocks == frozenset({0})
@@ -266,9 +286,11 @@ def test_dagger_from_json_checks_the_target_shape_first(gates):
         dagger_from_json(data, gates["not"])
 
 
-def test_domain_points_order(u2):
+def test_domain_points_order(u2, gates):
+    # cover indices are table positions, the points in lexicographic order
     cover = cover_from_json(u2, 2, [[0], [1], [2], [3]])
-    assert [sorted(block) for block in cover.blocks] == [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
+    assert cover == point_cover(u2, 2, [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]])
+    assert [gates["and"].index_of(p) for p in u2.tuples(2)] == [0, 1, 2, 3]
 
 
 def test_partition_cap_stops_the_walk_and_says_how_far_it_got(u2, gates, monkeypatch):
@@ -330,7 +352,7 @@ def test_verify_counts_subfamily_keys_instead_of_listing_them(u3):
 def test_verify_stops_counting_once_the_subfamilies_outnumber_the_keys(u2, gates):
     # One block repeated 10**5 times at level 10**5: the subfamily count is
     # 2**(10**5), but the count passes the single key at its second term.
-    block = frozenset(u2.tuples(2))
+    block = frozenset(range(4))
     cover = Cover(u2, 2, (block,) * 10**5)
     frag = generate([gates["and"]], 2)
     forged = DaggerCertificate(cover, 10**5, {frozenset(): gates["and"]})
