@@ -67,6 +67,11 @@ class BPInstance(namedtuple("BPInstance", "f h cover base_interpolants")):
         for key in subfamilies(len(cover.blocks), h.arity - 1):
             if key not in base_interpolants:
                 raise ValueError(f"missing base interpolant for blocks {sorted(key)}")
+        for key in base_interpolants:
+            if any(not 0 <= b < len(cover.blocks) for b in key):
+                raise ValueError(
+                    f"base interpolant for blocks {sorted(key)} names a block outside the cover"
+                )
         if any(t.universe != f.universe or t.arity != f.arity for t in base_interpolants.values()):
             raise ValueError("base interpolant shape mismatch")
         wrong = first_disagreement(f, cover, base_interpolants)

@@ -142,8 +142,7 @@ def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
 
 def _load_generators(path: str):
     """(generators, universe or None) from a list of operations or an
-    object {"universe": ..., "operations": [...]}. Value errors in the
-    operations propagate as ValueError."""
+    object {"universe": ..., "operations": [...]}."""
     data = load_json(path)
     if not isinstance(data, (list, dict)):
         raise CliInputError(f"bad generators file {path}: expected a list or an object")
@@ -155,7 +154,7 @@ def _load_generators(path: str):
             universe = (finite_core.universe_from_json(data["universe"])
                         if "universe" in data else None)
         return [finite_core.operation_from_json(o, universe) for o in ops_json], universe
-    except (KeyError, TypeError) as exc:
+    except _DECODE_ERRORS as exc:
         raise CliInputError(f"bad generators file {path}: field error: {exc}")
 
 
@@ -355,8 +354,8 @@ def _cmd_perm(args, out) -> int:
     # altb-check, the last of the parser's choices
     _require(args, "map", "support", "window")
     moved = _load_moved_map(args.map)
-    support = _parse_point_list(args.support)
-    probes = [x for x in symbolic_perms.window_points(args.window) if x not in set(support)]
+    support = set(_parse_point_list(args.support))
+    probes = [x for x in symbolic_perms.window_points(args.window) if x not in support]
     member = symbolic_perms.alt_B_locally_closed_check(moved, support, probes)
     _emit(out, {"member": member})
     return 0

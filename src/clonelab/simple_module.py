@@ -5,7 +5,8 @@ The pipeline takes a linear map f that agrees with given ring elements
 r_0, ..., r_{m-1} on subspaces whose union is the whole space, and
 rebuilds f inside the ring span:
 
-  1. enlarge each agreement set to the kernel of f - r_i (still a cover),
+  1. check that the kernels of f - r_i, which contain the agreement
+     sets, cover the space,
   2. translate by r_0 so the first interpolant is zero,
   3. form t as a sum of maps s_i r_i, where each s_i carries the image of
      r_i isomorphically onto a chosen independent target subspace; the
@@ -260,9 +261,6 @@ class LinearMap(namedtuple("LinearMap", "field rows")):
             ),
         )
 
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in row) for row in self.rows)
-
     def scale(self, c: int) -> "LinearMap":
         F = self.field
         return LinearMap(F, tuple(tuple(F.mul(c, e) for e in row) for row in self.rows))
@@ -405,9 +403,10 @@ class SubspaceCoverInstance(
 
     blocks holds one basis (a tuple of vectors) per interpolant.
     Construction checks shapes and the agreement of f with r_i on each
-    block's basis (exact for the whole subspace, by linearity). Whether
-    the blocks cover the full space is checked by the pipeline stages
-    that rely on it, by exhaustive vector enumeration.
+    block's basis (exact for the whole subspace, by linearity). It does
+    not check that the blocks cover the space: recover checks what it
+    needs, that the kernels of f - r_i, which contain the blocks, cover
+    it, by exhaustive vector enumeration.
     """
 
     __slots__ = ()
@@ -431,55 +430,31 @@ class SubspaceCoverInstance(
         return tuple.__new__(cls, (field, dim, f, interpolants, blocks))
 
 
-def enlarge_to_kernels(inst: SubspaceCoverInstance) -> SubspaceCoverInstance:
-    """Replace each block by the kernel of f - r_i and confirm the kernels
-    cover the space; a vector matched by no interpolant is reported."""
-    kernels = [kernel_basis(inst.f - r_i) for r_i in inst.interpolants]
+def check_kernels_cover(inst: SubspaceCoverInstance) -> None:
+    """Confirm that the kernels of f - r_i cover the space; the first
+    vector, in all_vectors order, that no interpolant matches is reported."""
     diffs = [inst.f - r_i for r_i in inst.interpolants]
+    zero = zero_vector(inst.dim)
     for v in all_vectors(inst.field, inst.dim):
-        if not any(d.apply(v) == zero_vector(inst.dim) for d in diffs):
+        if not any(d.apply(v) == zero for d in diffs):
             raise PipelineError(
                 "enlarge",
                 f"vector {v} is matched by no interpolant; kernels do not cover",
                 witness=v,
             )
-    return SubspaceCoverInstance(
-        inst.field,
-        inst.dim,
-        inst.f,
-        inst.interpolants,
-        tuple(tuple(b) for b in kernels),
-    )
 
 
-def normalize(inst: SubspaceCoverInstance) -> SubspaceCoverInstance:
-    """Translate everything by the first interpolant, making it zero.
-    Agreement sets are unchanged."""
-    r0 = inst.interpolants[0]
-    return SubspaceCoverInstance(
-        inst.field,
-        inst.dim,
-        inst.f - r0,
-        tuple(r_i - r0 for r_i in inst.interpolants),
-        inst.blocks,
-    )
+def carried_sum(F: FiniteField, dim: int, interpolants) -> LinearMap:
+    """t = sum of s_i r_i, where s_i carries the image of r_i onto fresh
+    standard basis vectors, independent of the other targets, and kills a
+    complement of that image; fails when the image ranks do not fit.
 
-
-class TargetAssignment(namedtuple("TargetAssignment", "targets carriers")):
-    """Chosen independent target subspaces and carrier maps: s_i maps the
-    image of r_i isomorphically onto the span of targets[i] and kills a
-    complement of that image."""
-
-    __slots__ = ()
-
-
-def choose_targets(inst: SubspaceCoverInstance) -> TargetAssignment:
-    """Assign pairwise independent target subspaces spanned by fresh
-    standard basis vectors, one block of dimension rank(r_i) per
-    interpolant; fails when the ranks do not fit into the space."""
-    F = inst.field
-    dim = inst.dim
-    image_bases = [image_basis(r_i) for r_i in inst.interpolants]
+    When the r_i are the interpolants translated by r_0 and their kernels
+    cover the space, ker(t) lies in the kernel of f - r_0: the targets are
+    independent, so t v = 0 forces every s_i r_i v = 0, hence r_i v = 0,
+    and v lies in some ker(f - r_0 - r_i).
+    """
+    image_bases = [image_basis(r_i) for r_i in interpolants]
     total = sum(len(b) for b in image_bases)
     if total > dim:
         raise PipelineError(
@@ -489,83 +464,26 @@ def choose_targets(inst: SubspaceCoverInstance) -> TargetAssignment:
         )
     basis_pool = standard_basis(dim)
     cursor = 0
-    targets = []
-    carriers = []
-    for r_i, w_basis in zip(inst.interpolants, image_bases):
-        v_basis = basis_pool[cursor:cursor + len(w_basis)]
-        cursor += len(w_basis)
-        targets.append(tuple(v_basis))
-        full = extend_to_basis(F, w_basis, dim)
-        images = list(v_basis) + [zero_vector(dim)] * (dim - len(w_basis))
-        carriers.append(map_from_basis_images(F, full, images, dim))
-    return TargetAssignment(tuple(targets), tuple(carriers))
-
-
-BuiltSum = namedtuple("BuiltSum", "t kernel_vectors")
-
-
-def build_t(
-    inst: SubspaceCoverInstance, targets, carriers
-) -> BuiltSum:
-    """Form t as the sum of the carried interpolants and verify the
-    kernel containment ker(t) <= ker(f) on a kernel basis.
-
-    Preconditions checked here: target spans are pairwise independent
-    with the right dimensions, and each carrier restricts to a bijection
-    from the image of r_i onto its target span. The caller must have
-    established the cover property (enlarge_to_kernels does), which the
-    containment proof relies on.
-    """
-    F = inst.field
-    dim = inst.dim
-    flat_targets = [v for block in targets for v in block]
-    if sum(len(b) for b in targets) > dim:
-        raise PipelineError("build_t", "target dimensions overflow the space")
-    if rank_of_vectors(F, flat_targets) != len(flat_targets):
-        raise PipelineError("build_t", "target subspaces are not independent")
     t = zero_map(F, dim)
-    for r_i, v_block, s_i in zip(inst.interpolants, targets, carriers):
-        w_basis = image_basis(r_i)
-        if len(w_basis) != len(v_block):
-            raise PipelineError(
-                "build_t", "target dimension differs from interpolant image rank"
-            )
-        carried = [s_i.apply(w) for w in w_basis]
-        if rank_of_vectors(F, carried) != len(carried):
-            raise PipelineError(
-                "build_t", "carrier is not injective on the interpolant image"
-            )
-        for w in carried:
-            if rank_of_vectors(F, list(v_block) + [w]) != len(v_block):
-                raise PipelineError(
-                    "build_t", "carrier image leaves the assigned target span"
-                )
-        t = t + s_i.compose(r_i)
-    kernel = kernel_basis(t)
-    for v in kernel:
-        if inst.f.apply(v) != zero_vector(dim):
-            raise PipelineError(
-                "build_t",
-                f"kernel containment fails at {v}: t kills it but f does not",
-                witness=v,
-            )
-    return BuiltSum(t, tuple(kernel))
+    for r_i, w_basis in zip(interpolants, image_bases):
+        targets = basis_pool[cursor:cursor + len(w_basis)]
+        cursor += len(w_basis)
+        full = extend_to_basis(F, w_basis, dim)
+        images = targets + [zero_vector(dim)] * (dim - len(w_basis))
+        t = t + map_from_basis_images(F, full, images, dim).compose(r_i)
+    return t
 
 
 def factor_through(t: LinearMap, f: LinearMap) -> LinearMap:
-    """A map u with u t = f, given ker(t) <= ker(f).
+    """A map u with u t = f, which exists iff ker(t) <= ker(f).
 
     u is pinned on a basis of t's image by u(t(e_j)) = f(e_j) and
     extended by zero on a complement; the identity u t = f is verified
-    exactly before returning.
+    exactly before returning, so a kernel that f does not contain fails
+    here.
     """
     F = t.field
     dim = t.dim
-    for v in kernel_basis(t):
-        if f.apply(v) != zero_vector(dim):
-            raise PipelineError(
-                "factor", f"kernel containment violated at {v}", witness=v
-            )
     basis = standard_basis(dim)
     columns = [t.apply(e) for e in basis]
     pivots = pivot_columns(F, columns)
@@ -629,21 +547,19 @@ def recover(inst: SubspaceCoverInstance, ring_span=None) -> RecoveryResult:
         ring_span = matrix_unit_span(F, dim)
     r0 = inst.interpolants[0]
 
-    enlarged = enlarge_to_kernels(inst)
-    normalized = normalize(enlarged)
-    assignment = choose_targets(normalized)
-    built = build_t(normalized, assignment.targets, assignment.carriers)
-    u_raw = factor_through(built.t, normalized.f)
-    density = density_interpolate(u_raw, image_basis(built.t), ring_span)
+    check_kernels_cover(inst)
+    t = carried_sum(F, dim, [r_i - r0 for r_i in inst.interpolants])
+    u_raw = factor_through(t, inst.f - r0)
+    density = density_interpolate(u_raw, image_basis(t), ring_span)
     if density is None:
         raise PipelineError(
             "density", "factor map is not interpolable inside the ring span"
         )
     u = density.combination
-    recovered = u.compose(built.t) + r0
+    recovered = u.compose(t) + r0
     if recovered.rows != inst.f.rows:
         raise PipelineError("recover", "reassembled map differs from the target")
-    return RecoveryResult(r0, built.t, u, density.coefficients, recovered)
+    return RecoveryResult(r0, t, u, density.coefficients, recovered)
 
 
 # --- randomized instances ------------------------------------------------------
@@ -780,7 +696,4 @@ def recheck_module_recovery(decoded, inst: SubspaceCoverInstance) -> str | None:
         return "u t + r0 does not reassemble the certified map"
     if recovered.rows != inst.f.rows:
         return "recovered map differs from the target"
-    for v in kernel_basis(t):
-        if (inst.f - r0).apply(v) != zero_vector(inst.dim):
-            return "kernel containment fails"
     return None

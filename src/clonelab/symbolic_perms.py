@@ -217,6 +217,19 @@ def window_points(window: int) -> range:
     return range(window)
 
 
+def block_index(cover: SymbolicCover) -> dict[int, int]:
+    """The index of the block holding each window point."""
+    return {point: i for i, block in enumerate(cover.blocks) for point in block}
+
+
+def agrees_on_blocks(p: FinSuppPermutation, q: FinSuppPermutation, block_of, key) -> bool:
+    """Whether p and q agree on the union of the blocks in key. Both fix
+    every point outside their supports, so only those points are read."""
+    return all(
+        p(x) == q(x) for x in p.support | q.support if block_of.get(x) in key
+    )
+
+
 def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
     """Window partition witnessing that the transposition (a b) agrees
     with an even permutation on every union of at most k blocks. There
@@ -258,20 +271,17 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
     cover = SymbolicCover(window, tuple(blocks))
 
     target = transposition(a, b)
+    block_of = block_index(cover)
+    lowest_pairs = [sorted(block)[:2] for block in blocks]
     interpolants: dict[frozenset[int], FinSuppPermutation] = {}
     for key in subfamilies(nblocks, k):
         if 0 not in key:
             interpolant = identity()
         else:
             outside = min(i for i in range(nblocks) if i not in key)
-            c, d = sorted(blocks[outside])[:2]
-            interpolant = compose(target, transposition(c, d))
-        union = set().union(*(blocks[i] for i in key)) if key else set()
-        for point in union:
-            if interpolant(point) != target(point):
-                raise AssertionError(
-                    f"constructed interpolant disagrees at {point}"
-                )
+            interpolant = compose(target, transposition(*lowest_pairs[outside]))
+        if not agrees_on_blocks(interpolant, target, block_of, key):
+            raise AssertionError(f"constructed interpolant for blocks {sorted(key)} disagrees")
         interpolants[key] = interpolant
     return AltCoverWitness(k, a, b, cover, interpolants)
 
@@ -293,14 +303,11 @@ def verify_alt_cover(witness: AltCoverWitness) -> bool:
     if not is_subfamily_key_set(witness.interpolants, nblocks, witness.k):
         return False
     target = transposition(witness.a, witness.b)
-    for key, interpolant in witness.interpolants.items():
-        if not interpolant.is_even():
-            return False
-        for i in key:
-            for point in cover.blocks[i]:
-                if interpolant(point) != target(point):
-                    return False
-    return True
+    block_of = block_index(cover)
+    return all(
+        interpolant.is_even() and agrees_on_blocks(interpolant, target, block_of, key)
+        for key, interpolant in witness.interpolants.items()
+    )
 
 
 class AltSeparationVerdict(
@@ -360,7 +367,8 @@ def alt_B_locally_closed_check(f, support_bound, probe_points) -> bool:
     a, so a match exists iff f maps the bound onto itself as an even
     permutation and fixes a.
     """
-    bound = sorted(set(support_bound))
+    points = set(support_bound)
+    bound = sorted(points)
     if any(x < 0 for x in bound):
         raise ValueError("permutations act on the naturals")
     apply = f if isinstance(f, FinSuppPermutation) else (
@@ -371,7 +379,7 @@ def alt_B_locally_closed_check(f, support_bound, probe_points) -> bool:
         dict(zip(bound, image))
     ).is_even()
     for a in probe_points:
-        if a in bound:
+        if a in points:
             raise ValueError(f"probe point {a} lies inside the support bound")
         if not (even_on_bound and apply(a) == a):
             return False

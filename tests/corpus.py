@@ -354,6 +354,8 @@ def bp_cases(c: Corpus) -> None:
             **good["base_interpolants"], "3": [0, 0, 0, 0]}},
         "short_base": {**good, "base_interpolants": {**good["base_interpolants"], "2": [0, 0]}},
         "bad_key": {**good, "base_interpolants": {**good["base_interpolants"], "a": [0, 0, 0, 1]}},
+        "key_outside_cover": {**good, "base_interpolants": {
+            **good["base_interpolants"], "9": [0, 0, 0, 1]}},
         "cover_outside": {**good, "cover": [[0], [1], [2], [4]]},
         "cover_short": {**good, "cover": [[0], [1], [2]]},
         "cover_float": {**good, "cover": [[0], [1], [2], [3.0]]},

@@ -93,7 +93,7 @@ def test_the_vector_cap_is_read_when_the_pipeline_runs(monkeypatch):
     inst = sm.random_instance(F, 4, random.Random(0))
     monkeypatch.setattr(sm, "VECTOR_CAP", 8)
     with pytest.raises(ResourceCapExceeded, match="^16 vectors exceed cap 8$"):
-        sm.enlarge_to_kernels(inst)
+        sm.recover(inst)
     assert len(sm.all_vectors(F, 3)) == 8
 
 

@@ -860,7 +860,8 @@ def test_verify_counts_the_inputs_before_digesting_them(workdir):
 def test_gen_reads_the_universe_strictly(tmp_path, universe, message):
     gens = write_json(tmp_path, "gens.json", {"universe": universe, "operations": []})
     code, result, _ = invoke(["gen", "--generators", gens, "--arity-bound", "1"])
-    assert code == 1 and result["error"] == {"type": "input", "message": message}
+    assert code == 1 and result["error"] == {
+        "type": "input", "message": f"bad generators file {gens}: field error: {message}"}
 
 
 def test_deeply_nested_json_is_input_error(tmp_path):
@@ -1031,6 +1032,29 @@ def test_windows_past_the_window_cap_exit_2_before_listing(tmp_path):
                               "--window", window])
     assert (code, result) == (2, message)
     assert time.perf_counter() - started < 1.0
+
+
+def test_altb_check_with_a_2000_point_support_at_the_window_cap_is_fast(tmp_path):
+    moved = write_json(tmp_path, "map.json", {"moved": {"0": 1, "1": 2, "2": 0}})
+    support = ",".join(map(str, range(2000)))
+    window = str(symbolic_perms.WINDOW_CAP)
+    started = time.perf_counter()
+    code, result, _ = invoke(["perm", "altb-check", "--map", moved, "--support", support,
+                              "--window", window])
+    assert time.perf_counter() - started < 2.0
+    assert (code, result) == (0, {"member": True})
+
+
+def test_cover_witness_at_the_window_cap_is_written_and_verifies_fast(tmp_path):
+    cert = tmp_path / "cert.json"
+    window = str(symbolic_perms.WINDOW_CAP)
+    started = time.perf_counter()
+    code, result, _ = invoke(["perm", "cover-witness", "--k", "8", "--a", "3", "--b", "70",
+                              "--window", window, "--cert", str(cert)])
+    assert code == 0 and len(result["interpolants"]) == 2 ** 9 - 1
+    assert (code, result) == (0, json.loads(cert.read_text())["payload"])
+    assert invoke(["verify", str(cert)])[:2] == (0, {"valid": True})
+    assert time.perf_counter() - started < 4.0
 
 
 def test_bp_past_the_tree_cap_exits_2_before_building(tmp_path):

@@ -9,10 +9,9 @@ from clonelab.simple_module import (
     PipelineError,
     SubspaceCoverInstance,
     all_vectors,
-    build_t,
-    choose_targets,
+    carried_sum,
+    check_kernels_cover,
     density_interpolate,
-    enlarge_to_kernels,
     factor_through,
     field_of_order,
     identity_map,
@@ -22,7 +21,6 @@ from clonelab.simple_module import (
     kernel_basis,
     map_from_basis_images,
     matrix_unit_span,
-    normalize,
     random_instance,
     rank_of_vectors,
     recover,
@@ -127,9 +125,8 @@ def test_enlarge_single_matching_block():
     F = field_of_order(2)
     f = identity_map(F, 3)
     inst = SubspaceCoverInstance(F, 3, f, (f,), (((1, 0, 0),),))
-    enlarged = enlarge_to_kernels(inst)
     # the kernel of f - f is everything
-    assert len(enlarged.blocks[0]) == 3
+    check_kernels_cover(inst)
 
 
 def test_enlarge_reports_uncovered_vector():
@@ -140,7 +137,7 @@ def test_enlarge_reports_uncovered_vector():
     # the kernels cannot cover
     inst = SubspaceCoverInstance(F, 2, f, (r0,), ((),))
     with pytest.raises(PipelineError) as err:
-        enlarge_to_kernels(inst)
+        check_kernels_cover(inst)
     assert err.value.stage == "enlarge"
     assert err.value.witness is not None
 
@@ -149,62 +146,35 @@ def test_enlarge_plane_and_line():
     F = field_of_order(2)
     dim = 3
     # the zero map agrees with r0 = 0 on a plane and with a projection-like
-    # r1 on the line it kills; enlargement grows the plane to everything
-    # and keeps the line
+    # r1 on the line it kills; the kernels grow the plane to everything
+    # and keep the line, so they cover
     f = zero_map(F, dim)
     r0 = zero_map(F, dim)
     r1 = LinearMap(F, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     inst = SubspaceCoverInstance(
         F, dim, f, (r0, r1), (((1, 0, 0), (0, 1, 0)), ((0, 0, 1),))
     )
-    enlarged = enlarge_to_kernels(inst)
-    assert rank_of_vectors(F, enlarged.blocks[0]) == 3
-    assert rank_of_vectors(F, enlarged.blocks[1]) == 1
-    # the original blocks sit inside the recomputed kernels
-    for old, new in zip(inst.blocks, enlarged.blocks):
-        for v in old:
-            assert rank_of_vectors(F, list(new) + [v]) == len(new)
+    check_kernels_cover(inst)
 
 
-def test_normalize():
-    F = field_of_order(3)
-    rng = random.Random(8)
-    inst = random_instance(F, 4, rng)
-    normalized = normalize(inst)
-    assert normalized.interpolants[0].is_zero()
-    # agreement was revalidated by the constructor; blocks unchanged
-    assert normalized.blocks == inst.blocks
-    again = normalize(normalized)
-    assert again.f.rows == normalized.f.rows
-
-
-def test_build_t_kernel_claim_and_errors():
-    F = field_of_order(2)
+def test_recovered_t_kills_only_kernel_vectors_of_f_minus_r0():
     rng = random.Random(5)
-    inst = normalize(enlarge_to_kernels(random_instance(F, 5, rng)))
-    assignment = choose_targets(inst)
-    built = build_t(inst, assignment.targets, assignment.carriers)
-    for v in kernel_basis(built.t):
-        assert inst.f.apply(v) == zero_vector(5)
-
-    # dependent targets are rejected
-    nonempty = [i for i, b in enumerate(assignment.targets) if b]
-    if len(nonempty) >= 2:
-        bad = list(assignment.targets)
-        bad[nonempty[1]] = bad[nonempty[0]]
-        with pytest.raises(PipelineError):
-            build_t(inst, tuple(bad), assignment.carriers)
+    for q, dim in [(2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]:
+        F = field_of_order(q)
+        inst = random_instance(F, dim, rng)
+        result = recover(inst)
+        f0 = inst.f - result.r0
+        for v in kernel_basis(result.t):
+            assert f0.apply(v) == zero_vector(dim)
 
 
-def test_choose_targets_overflow():
+def test_targets_overflow():
     F = field_of_order(2)
     dim = 2
     f = identity_map(F, dim)
-    basis = tuple(standard_basis(dim))
     # three full-rank interpolants cannot get independent targets
-    inst = SubspaceCoverInstance(F, dim, f, (f, f, f), (basis, basis, basis))
     with pytest.raises(PipelineError) as err:
-        choose_targets(inst)
+        carried_sum(F, dim, [f, f, f])
     assert err.value.stage == "targets"
 
 
@@ -293,8 +263,8 @@ def test_random_instance_structure():
     inst = random_instance(F, 5, rng)
     assert len(inst.interpolants) == 4  # a pencil has q + 1 members
     # rank condition that makes target assignment possible
-    normalized = normalize(inst)
-    total = sum(len(image_basis(r)) for r in normalized.interpolants)
+    r0 = inst.interpolants[0]
+    total = sum(len(image_basis(r - r0)) for r in inst.interpolants)
     assert total <= inst.dim
     # blocks cover: every vector agrees with some interpolant
     for v in all_vectors(F, inst.dim):
