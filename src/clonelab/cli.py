@@ -184,10 +184,16 @@ def _write_json(path: str, obj) -> None:
         _emit(fh, obj)
 
 
-def _write_certificate(path: str | None, kind: str, payload: dict, input_paths) -> None:
-    """Write the certificate of payload to path, when --cert gave one."""
-    if path:
-        _write_json(path, make_certificate(kind, payload, input_paths))
+def _input_paths(kind: str, args) -> list[str]:
+    """The files a kind's certificate digests: the values of the
+    subcommand options its CERTIFICATES row names, in that order."""
+    return [getattr(args, name) for name, _ in CERTIFICATES[kind][0]]
+
+
+def _write_certificate(args, kind: str, payload: dict) -> None:
+    """Write the certificate of payload to --cert, when one was given."""
+    if args.cert:
+        _write_json(args.cert, make_certificate(kind, payload, _input_paths(kind, args)))
 
 
 def _emit(out, obj) -> None:
@@ -242,7 +248,7 @@ def _cmd_ultra(args, out) -> int:
     if outcome.certificate is not None:
         payload = ultralocal.dagger_to_json(outcome.certificate)
         # The certificate is printed too, so it is made without --cert.
-        cert = make_certificate("dagger", payload, [args.target, args.fragment])
+        cert = make_certificate("dagger", payload, _input_paths("dagger", args))
         result["certificate"] = cert
         if args.cert:
             _write_json(args.cert, cert)
@@ -254,7 +260,7 @@ def _cmd_bp(args, out) -> int:
     inst = _load_bp_instance(args.instance)
     result_obj = baker_pixley.bp_interpolate(inst)
     payload = baker_pixley.bp_tree_to_json(result_obj)
-    _write_certificate(args.cert, "bp_tree", payload, [args.instance])
+    _write_certificate(args, "bp_tree", payload)
     _emit(out, payload)
     return 0
 
@@ -268,14 +274,13 @@ def _cmd_detect(args, out) -> int:
         if witness is not None:
             payload = finite_core.preservation_witness_to_json(op, rel, witness)
             result["witness"] = finite_core.witness_to_json(witness)
-            _write_certificate(args.cert, "preservation_witness", payload, [args.op])
+            _write_certificate(args, "preservation_witness", payload)
         _emit(out, result)
         return 0
 
     if args.what == "product":
         op = _load_operation(args.op)
-        if args.left_size is None or args.right_size is None:
-            raise CliInputError("product detection needs --left-size and --right-size")
+        _require(args, "left-size", "right-size")
         pu = structure_detect.ProductUniverse(
             finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
         )
@@ -287,7 +292,7 @@ def _cmd_detect(args, out) -> int:
             payload = structure_detect.product_decomp_to_json(pu, split)
             result["factor_left"] = payload["factor_left"]
             result["factor_right"] = payload["factor_right"]
-            _write_certificate(args.cert, "product_decomp", payload, [args.op])
+            _write_certificate(args, "product_decomp", payload)
         else:
             result["witness"] = finite_core.witness_to_json(split.witness)
         _emit(out, result)
@@ -304,8 +309,7 @@ def _cmd_detect(args, out) -> int:
 
     # gs, the last of the parser's choices
     op = _load_operation(args.op)
-    if args.ideal is None:
-        raise CliInputError("gs detection needs --ideal")
+    _require(args, "ideal")
     result = {"member": structure_detect.goldstern_shelah_member(op, args.ideal)}
     _emit(out, result)
     return 0
@@ -347,7 +351,7 @@ def _cmd_perm(args, out) -> int:
         _require(args, "k", "a", "b", "window")
         witness = symbolic_perms.alt_cover_witness(args.k, args.a, args.b, args.window)
         payload = symbolic_perms.alt_cover_to_json(witness)
-        _write_certificate(args.cert, "alt_cover", payload, [])
+        _write_certificate(args, "alt_cover", payload)
         _emit(out, payload)
         return 0
 
@@ -372,7 +376,7 @@ def _cmd_module(args, out) -> int:
             _emit(out, {"result": False, "stage": exc.stage, "message": str(exc)})
             return 0
         payload = simple_module.module_recovery_to_json(inst, result)
-        _write_certificate(args.cert, "module_recovery", payload, [args.instance])
+        _write_certificate(args, "module_recovery", payload)
         _emit(out, {"result": True, **payload})
         return 0
 
@@ -388,13 +392,14 @@ def _cmd_module(args, out) -> int:
 
 # --- certificate verification ---------------------------------------------------
 
-# kind -> (inputs, decode, recheck). inputs holds a (usage name, loader)
-# pair per --inputs file; decode(payload, *loaded) raises on a payload it
-# cannot read; recheck(decoded, *loaded) says why the certificate fails, or
-# returns None.
+# kind -> (inputs, decode, recheck). inputs holds an (option, loader) pair
+# per --inputs file, the option naming the file when the certificate is
+# made (usage text: option.json); decode(payload, *loaded) raises on a
+# payload it cannot read; recheck(decoded, *loaded) says why the
+# certificate fails, or returns None.
 CERTIFICATES = {
     "dagger": (
-        (("target.json", _load_query_operation), ("fragment.json", _load_fragment)),
+        (("target", _load_query_operation), ("fragment", _load_fragment)),
         lambda payload, target, fragment: ultralocal.dagger_from_json(
             payload, _on_fragment_universe(target, fragment)
         ),
@@ -403,23 +408,23 @@ CERTIFICATES = {
         ),
     ),
     "bp_tree": (
-        (("instance.json", _load_bp_instance),),
+        (("instance", _load_bp_instance),),
         lambda payload, _: baker_pixley.bp_tree_from_json(payload),
         baker_pixley.recheck_bp_tree,
     ),
     "product_decomp": (
-        (("op.json", _load_operation),),
+        (("op", _load_operation),),
         lambda payload, _: structure_detect.product_decomp_from_json(payload),
         structure_detect.recheck_product_decomp,
     ),
     "alt_cover": ((), symbolic_perms.alt_cover_from_json, symbolic_perms.recheck_alt_cover),
     "module_recovery": (
-        (("instance.json", lambda path: simple_module.instance_from_json(load_json(path))),),
+        (("instance", lambda path: simple_module.instance_from_json(load_json(path))),),
         simple_module.module_recovery_from_json,
         simple_module.recheck_module_recovery,
     ),
     "preservation_witness": (
-        (("op.json", _load_operation),),
+        (("op", _load_operation),),
         finite_core.preservation_witness_from_json,
         finite_core.recheck_preservation_witness,
     ),
@@ -442,7 +447,7 @@ def check_certificate(cert: dict, input_paths) -> tuple[bool, str]:
     if len(input_paths) != len(inputs):
         if not inputs:
             return False, f"{kind} certificates take no inputs"
-        names = " ".join(name for name, _ in inputs)
+        names = " ".join(f"{name}.json" for name, _ in inputs)
         return False, f"{kind} verification needs --inputs {names}"
     if digest_files(input_paths) != cert["inputs_digest"]:
         return False, "input digest mismatch"

@@ -60,6 +60,7 @@ from .finite_core import (
 )
 
 DEFAULT_MEMBER_CAP = 200_000
+POINT_CAP = 1 << 16
 
 
 class CloneFragment(namedtuple("CloneFragment", "universe arity_bound generators members")):
@@ -102,8 +103,10 @@ def generate(
     """Least fixpoint closure of the generators, one arity at a time.
 
     An empty generator set (with an explicit universe) yields the clone of
-    projections. Raises ResourceCapExceeded if a fragment would exceed
-    member_cap; a capped run never returns a truncated fragment.
+    projections. Raises ResourceCapExceeded, before anything is built,
+    if the tables of arities 1..arity_bound hold more than POINT_CAP
+    points in all, or once an arity layer would exceed member_cap; a
+    capped run never returns a truncated fragment.
     """
     generators = tuple(generators)
     if arity_bound < 1:
@@ -115,6 +118,15 @@ def generate(
     for g in generators:
         if g.universe != universe:
             raise ValueError("generators live on different universes")
+    m = universe.size
+    points = 0
+    for j in range(1, arity_bound + 1):
+        points += m ** j
+        if points > POINT_CAP:
+            raise ResourceCapExceeded(
+                f"tables of arity 1 to {arity_bound} on a {m}-element universe "
+                f"exceed cap {POINT_CAP} points"
+            )
 
     members: dict[int, tuple[Operation, ...]] = {}
     for j in range(1, arity_bound + 1):

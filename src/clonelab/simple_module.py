@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from .finite_core import ResourceCapExceeded, int_from_json, table_from_json
 
-DESK_FIELD_CAP = 9
+MAX_FIELD_ORDER = 9
 VECTOR_CAP = 4096
 
 
@@ -72,9 +72,9 @@ class FiniteField:
     """
 
     def __init__(self, order: int):
-        if order < 2 or order > DESK_FIELD_CAP:
+        if order < 2 or order > MAX_FIELD_ORDER:
             raise ValueError(
-                f"field order must be between 2 and {DESK_FIELD_CAP}, got {order}"
+                f"field order must be between 2 and {MAX_FIELD_ORDER}, got {order}"
             )
         p, k = _factor_prime(order)
         self.order = order

@@ -133,53 +133,6 @@ def in_alt_B(p: FinSuppPermutation, support_bound) -> bool:
     return p.is_even() and p.support <= frozenset(support_bound)
 
 
-class FinSuppInjection(namedtuple("FinSuppInjection", "support_bound moved")):
-    """An injective self-map of the naturals that is the identity outside
-    the finite set support_bound. With a finite bound such a map is
-    forced to permute the bound, but the type keeps the intended reading.
-    moved holds the (point, image) pairs of the moved points."""
-
-    __slots__ = ()
-
-    def __new__(cls, support_bound: frozenset[int], moved: tuple[tuple[int, int], ...]):
-        mapping = dict(moved)
-        if len(mapping) != len(moved):
-            raise ValueError("duplicate keys in moved map")
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("moved map is not injective")
-        for k, v in mapping.items():
-            if k == v:
-                raise ValueError("fixed points must not be stored")
-            if k not in support_bound:
-                raise ValueError(f"moved point {k} outside the support bound")
-            if v not in support_bound:
-                # identity off the bound makes v a second preimage of itself
-                raise ValueError(f"value {v} outside the support bound breaks injectivity")
-        return tuple.__new__(cls, (support_bound, moved))
-
-    def __call__(self, x: int) -> int:
-        return dict(self.moved).get(x, x)
-
-    @classmethod
-    def from_mapping(cls, support_bound, mapping: dict[int, int]) -> "FinSuppInjection":
-        moved = tuple(sorted((k, v) for k, v in mapping.items() if k != v))
-        return cls(frozenset(support_bound), moved)
-
-
-def in_inj_B(f: FinSuppInjection, support_bound) -> bool:
-    bound = frozenset(support_bound)
-    mapping = dict(f.moved)
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    return all(k in bound and v in bound for k, v in mapping.items())
-
-
-def compose_injections(f: FinSuppInjection, g: FinSuppInjection) -> FinSuppInjection:
-    bound = f.support_bound | g.support_bound
-    mapping = {x: f(g(x)) for x in bound}
-    return FinSuppInjection.from_mapping(bound, mapping)
-
-
 # --- cover witnesses inside a window ----------------------------------------
 
 class SymbolicCover(namedtuple("SymbolicCover", "window blocks")):
@@ -287,11 +240,10 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
 
 
 def verify_alt_cover(witness: AltCoverWitness) -> bool:
-    """Recheck a cover witness from scratch."""
-    try:
-        cover = SymbolicCover(witness.cover.window, witness.cover.blocks)
-    except ValueError:
-        return False
+    """Recheck a cover witness: the SymbolicCover validated its partition
+    when it was built, so this checks the moved points, the block sizes,
+    the subfamily keys and every interpolant."""
+    cover = witness.cover
     nblocks = len(cover.blocks)
     if witness.a == witness.b:
         return False
@@ -330,19 +282,15 @@ def alt_not_locally_interpolable(
     if window < 3:
         raise ValueError("window must contain at least three points")
     interpolants: dict[int, FinSuppPermutation] = {}
-    ok = True
     for x in range(window):
         y = f(x)
         if y == x:
             interpolants[x] = identity()
-            continue
-        spares = [z for z in range(max(window, y + 1)) if z not in (x, y)]
-        t = from_cycles([(x, y, spares[0])])
-        if not t.is_even() or t(x) != y:
-            ok = False
-            continue
-        interpolants[x] = t
-    return AltSeparationVerdict(f.is_even(), window, ok, interpolants)
+        else:
+            # The window holds 0, 1 and 2, so one of them is a spare point.
+            interpolants[x] = from_cycles([(x, y, min({0, 1, 2} - {x, y}))])
+    # A 3-cycle is even, so every window point has its interpolant.
+    return AltSeparationVerdict(f.is_even(), window, True, interpolants)
 
 
 def even_permutations_of(points) -> list[FinSuppPermutation]:
@@ -356,32 +304,29 @@ def even_permutations_of(points) -> list[FinSuppPermutation]:
     return out
 
 
-def alt_B_locally_closed_check(f, support_bound, probe_points) -> bool:
+def alt_B_locally_closed_check(moved: dict[int, int], support_bound, probe_points) -> bool:
     """Pointwise-interpolability test against the group of even
     permutations supported inside support_bound.
 
-    f may be a FinSuppPermutation or a plain dict read as a total map
-    (identity off its keys). For every probe point a the map must agree
-    with some even permutation p of the bound on support_bound + {a}.
-    Agreement on the bound pins p to f's restriction there, and p fixes
-    a, so a match exists iff f maps the bound onto itself as an even
-    permutation and fixes a.
+    moved is read as a total map, the identity off its keys (a
+    FinSuppPermutation p passes p.moved). For every probe point a the map
+    must agree with some even permutation p of the bound on
+    support_bound + {a}. Agreement on the bound pins p to the map's
+    restriction there, and p fixes a, so a match exists iff the map sends
+    the bound onto itself as an even permutation and fixes a.
     """
     points = set(support_bound)
     bound = sorted(points)
     if any(x < 0 for x in bound):
         raise ValueError("permutations act on the naturals")
-    apply = f if isinstance(f, FinSuppPermutation) else (
-        lambda x, _m=dict(f): _m.get(x, x)
-    )
-    image = [apply(x) for x in bound]
+    image = [moved.get(x, x) for x in bound]
     even_on_bound = sorted(image) == bound and FinSuppPermutation(
         dict(zip(bound, image))
     ).is_even()
     for a in probe_points:
         if a in points:
             raise ValueError(f"probe point {a} lies inside the support bound")
-        if not (even_on_bound and apply(a) == a):
+        if not (even_on_bound and moved.get(a, a) == a):
             return False
     return True
 

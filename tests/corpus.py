@@ -176,6 +176,11 @@ def gen_cases(c: Corpus) -> None:
                               "--out", f"f_{name}.json"], outputs=[f"f_{name}.json"])
     c.run("gen/nand3_capped", ["gen", "--generators", "g_nand2.json", "--arity-bound", "3",
                                "--member-cap", "20"])
+    c.run("gen/point_capped_u2", ["gen", "--generators", "g_listnot1.json", "--arity-bound",
+                                  "40", "--out", "f_point_capped.json"],
+          outputs=["f_point_capped.json"])
+    c.run("gen/point_capped_u1", ["gen", "--generators", "g_empty_u1.json", "--arity-bound",
+                                  "1000000"])
     c.run("gen/and3_no_out", ["gen", "--generators", "g_and2.json", "--arity-bound", "3"])
     c.run("gen/bound0", ["gen", "--generators", "g_and2.json", "--arity-bound", "0"])
     c.run("gen/missing_file", ["gen", "--generators", "nope.json", "--arity-bound", "1"])

@@ -9,6 +9,8 @@ import importlib
 import inspect
 import pkgutil
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from clonelab import (
 from clonelab.finite_core import ResourceCapExceeded
 
 U2 = fc.Universe(2)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def public_callables():
@@ -102,3 +105,33 @@ def test_cover_witness_builds_nothing_past_the_interpolant_cap(monkeypatch):
     assert len(sp.alt_cover_witness(2, 0, 1, 6).interpolants) == 7
     with pytest.raises(ResourceCapExceeded, match="^15 interpolants at k = 3 exceed cap 7$"):
         sp.alt_cover_witness(3, 0, 1, 8)
+
+
+def test_generate_reads_the_point_cap_before_building(monkeypatch):
+    u3 = fc.Universe(3)
+    monkeypatch.setattr(ce, "POINT_CAP", 12)
+    assert ce.generate([], 2, universe=u3).member_count() == 1 + 2
+    monkeypatch.setattr(ce, "POINT_CAP", 11)
+    monkeypatch.setattr(ce, "_close_arity", None)
+    message = "^tables of arity 1 to 2 on a 3-element universe exceed cap 11 points$"
+    with pytest.raises(ResourceCapExceeded, match=message):
+        ce.generate([], 2, universe=u3)
+
+
+def cap_constants():
+    """(module, name, value) for every *_CAP constant of a clonelab module,
+    except the default of generate's member_cap parameter."""
+    for info in pkgutil.iter_modules(clonelab.__path__):
+        module = importlib.import_module(f"clonelab.{info.name}")
+        for name, value in vars(module).items():
+            if name.endswith("_CAP") and name != "DEFAULT_MEMBER_CAP":
+                yield info.name, name, value
+
+
+def test_every_cap_constant_has_a_row_in_the_readme_caps_table():
+    rows = re.findall(r"^\| `(\w+)` = ([\d^]+) \| `(\w+)` \|", README.read_text(), re.M)
+    table = {
+        (module, name, 2 ** int(value[2:]) if value.startswith("2^") else int(value))
+        for name, value, module in rows
+    }
+    assert table == set(cap_constants())

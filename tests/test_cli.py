@@ -1075,3 +1075,21 @@ def test_bp_past_the_tree_cap_exits_2_before_building(tmp_path):
         "interpolant tree for 20 blocks under a 3-ary near-unanimity operation "
         "exceeds cap 262144 nodes")}})
     assert not cert.exists()
+
+
+@pytest.mark.parametrize("size, bound, message", [
+    (2, 40, "tables of arity 1 to 40 on a 2-element universe exceed cap 65536 points"),
+    (1, 1_000_000,
+     "tables of arity 1 to 1000000 on a 1-element universe exceed cap 65536 points"),
+])
+def test_gen_past_the_point_cap_exits_2_before_building(tmp_path, size, bound, message):
+    table = [1, 0][-size:]  # not on two elements, the identity on one
+    gens = write_json(tmp_path, "gens.json", {"universe": {"size": size},
+                                              "operations": [{"arity": 1, "table": table}]})
+    out = tmp_path / "frag.json"
+    started = time.perf_counter()
+    code, result, _ = invoke(["gen", "--generators", gens, "--arity-bound", str(bound),
+                              "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (2, {"error": {"type": "resource_cap", "message": message}})
+    assert not out.exists()

@@ -75,7 +75,6 @@ RECORDS = {
     ),
     sd.ProductCloneResult: lambda: sd.ProductCloneResult(False, None, None, None),
     sd.AbelianGroup: lambda: sd.AbelianGroup(U2, XOR, ID, 0),
-    sp.FinSuppInjection: lambda: sp.FinSuppInjection.from_mapping({0, 1}, {0: 1, 1: 0}),
     sp.SymbolicCover: lambda: sp.SymbolicCover(2, (frozenset({0}), frozenset({1}))),
     sp.AltCoverWitness: lambda: sp.alt_cover_witness(1, 0, 1, 4),
     sp.AltSeparationVerdict: lambda: sp.alt_not_locally_interpolable(sp.transposition(0, 1), 4),
@@ -92,7 +91,7 @@ def test_every_record_class_has_a_case():
         if isinstance(obj, type) and obj.__module__ == mod.__name__ and issubclass(obj, tuple)
     }
     assert defined == set(RECORDS)
-    assert len(RECORDS) == 28
+    assert len(RECORDS) == 27
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -193,15 +192,6 @@ NEG_BAD = fc.Operation(U2, 1, (1, 1))
         fc.Universe(3), 2, lambda a, b: [[0, 1, 2], [1, 0, 0], [2, 0, 0]][a][b]),
         fc.Operation(fc.Universe(3), 1, (0, 1, 2)), 0),
      "addition is not associative"),
-    (lambda: sp.FinSuppInjection(frozenset({0, 1}), ((0, 1), (0, 1))),
-     "duplicate keys in moved map"),
-    (lambda: sp.FinSuppInjection(frozenset({0, 1, 2}), ((0, 2), (1, 2))),
-     "moved map is not injective"),
-    (lambda: sp.FinSuppInjection(frozenset({0}), ((0, 0),)), "fixed points must not be stored"),
-    (lambda: sp.FinSuppInjection(frozenset({1}), ((0, 1),)),
-     "moved point 0 outside the support bound"),
-    (lambda: sp.FinSuppInjection(frozenset({0}), ((0, 1),)),
-     "value 1 outside the support bound breaks injectivity"),
     (lambda: sp.SymbolicCover(1, (frozenset(),)), "empty blocks are rejected"),
     (lambda: sp.SymbolicCover(2, (frozenset({0, 1}), frozenset({1}))),
      "blocks must be disjoint"),

@@ -1,11 +1,11 @@
 import random
+import time
 
 import pytest
 
 from clonelab import symbolic_perms
 from clonelab.symbolic_perms import (
     AltCoverWitness,
-    FinSuppInjection,
     FinSuppPermutation,
     alt_B_locally_closed_check,
     alt_cover_from_json,
@@ -13,13 +13,11 @@ from clonelab.symbolic_perms import (
     alt_cover_witness,
     alt_not_locally_interpolable,
     compose,
-    compose_injections,
     even_permutations_of,
     from_cycles,
     identity,
     in_alt,
     in_alt_B,
-    in_inj_B,
     inverse,
     parity,
     permutation_from_json,
@@ -88,24 +86,6 @@ def test_composition_of_odd_permutations_is_even():
         p, q = random_perm(rng, 8), random_perm(rng, 8)
         if parity(p) == parity(q) == "odd":
             assert parity(compose(p, q)) == "even"
-
-
-def test_injection_type():
-    f = FinSuppInjection.from_mapping({0, 1, 2}, {0: 1, 1: 2, 2: 0})
-    assert in_inj_B(f, {0, 1, 2})
-    assert not in_inj_B(f, {0, 1})
-    with pytest.raises(ValueError):
-        FinSuppInjection.from_mapping({0, 1}, {0: 5})  # escapes the bound
-    with pytest.raises(ValueError):
-        FinSuppInjection.from_mapping({0, 1, 5}, {0: 5, 1: 5})
-
-
-def test_injection_composition_support():
-    f = FinSuppInjection.from_mapping({0, 1}, {0: 1, 1: 0})
-    g = FinSuppInjection.from_mapping({2, 3}, {2: 3, 3: 2})
-    both = compose_injections(f, g)
-    assert both.support_bound == frozenset({0, 1, 2, 3})
-    assert in_inj_B(both, {0, 1, 2, 3})
 
 
 def test_alt_cover_witness_frozen_example():
@@ -183,6 +163,15 @@ def test_separation_of_members():
     assert v.is_member and v.interpolable_on_window
 
 
+def test_separation_reads_no_points_up_to_a_far_image():
+    started = time.perf_counter()
+    verdict = alt_not_locally_interpolable(transposition(0, 10**9), 4)
+    assert time.perf_counter() - started < 1
+    assert not verdict.is_member and verdict.interpolable_on_window
+    assert verdict.interpolants[0] == from_cycles([(0, 10**9, 1)])
+    assert set(verdict.interpolants) == {0, 1, 2, 3}
+
+
 def test_even_permutations_of():
     perms = even_permutations_of([0, 1, 2, 3])
     assert len(perms) == 12
@@ -192,14 +181,14 @@ def test_even_permutations_of():
 def test_alt_B_check_examples():
     B = [0, 1, 2, 3]
     probes = [x for x in range(12) if x not in B]
-    assert alt_B_locally_closed_check(from_cycles([(0, 1, 2)]), B, probes)
-    assert alt_B_locally_closed_check(identity(), B, probes)
+    assert alt_B_locally_closed_check(from_cycles([(0, 1, 2)]).moved, B, probes)
+    assert alt_B_locally_closed_check({}, B, probes)
     # moving a probe point is caught by interpolation on bound + probe
-    assert not alt_B_locally_closed_check(transposition(0, 5), B, probes)
+    assert not alt_B_locally_closed_check(transposition(0, 5).moved, B, probes)
     # odd permutations of the bound have no even match
-    assert not alt_B_locally_closed_check(transposition(0, 1), B, probes)
+    assert not alt_B_locally_closed_check(transposition(0, 1).moved, B, probes)
     with pytest.raises(ValueError):
-        alt_B_locally_closed_check(identity(), B, [0])
+        alt_B_locally_closed_check({}, B, [0])
 
 
 def test_alt_B_check_accepts_plain_mappings():
@@ -215,16 +204,16 @@ def test_alt_B_check_decides_a_12_point_support_directly(monkeypatch):
     monkeypatch.setattr(symbolic_perms, "even_permutations_of", None)
     B = list(range(12))
     probes = list(range(12, 20))
-    assert alt_B_locally_closed_check(from_cycles([(0, 5, 11)]), B, probes)
+    assert alt_B_locally_closed_check(from_cycles([(0, 5, 11)]).moved, B, probes)
     assert alt_B_locally_closed_check({i: (i + 1) % 11 for i in range(11)}, B, probes)
-    assert not alt_B_locally_closed_check(transposition(3, 9), B, probes)
-    assert not alt_B_locally_closed_check(from_cycles([(0, 12, 1)]), B, probes)
+    assert not alt_B_locally_closed_check(transposition(3, 9).moved, B, probes)
+    assert not alt_B_locally_closed_check(from_cycles([(0, 12, 1)]).moved, B, probes)
     assert not alt_B_locally_closed_check({0: 1}, B, probes)
-    assert alt_B_locally_closed_check(transposition(3, 9), B, [])
+    assert alt_B_locally_closed_check(transposition(3, 9).moved, B, [])
     # a probe inside the bound is an error only once the check reaches it
-    assert not alt_B_locally_closed_check(transposition(3, 9), B, [12, 3])
+    assert not alt_B_locally_closed_check(transposition(3, 9).moved, B, [12, 3])
     with pytest.raises(ValueError, match="inside the support bound"):
-        alt_B_locally_closed_check(identity(), B, [12, 3])
+        alt_B_locally_closed_check({}, B, [12, 3])
 
 
 def test_json_round_trip():
