@@ -130,10 +130,13 @@ def operation_from_callable(universe: Universe, arity: int, fn) -> Operation:
 
 
 def projection(universe: Universe, arity: int, index: int) -> Operation:
-    """The projection of the given arity onto coordinate `index` (0-based)."""
+    """The projection of the given arity onto coordinate `index` (0-based):
+    at table position x, the coordinate is base-m digit arity-1-index of x."""
     if not 0 <= index < arity:
         raise ValueError(f"projection index {index} out of range for arity {arity}")
-    return operation_from_callable(universe, arity, lambda *args: args[index])
+    m = universe.size
+    step = m ** (arity - 1 - index)
+    return Operation(universe, arity, tuple((x // step) % m for x in range(m ** arity)))
 
 
 def constant_op(universe: Universe, arity: int, value: int) -> Operation:

@@ -68,7 +68,9 @@ class FiniteField:
     Elements are the integers 0..q-1; for prime powers the base-p digits
     of an element are the coefficients of its polynomial representative.
     The field axioms are verified exhaustively at construction, so a bad
-    reduction rule cannot slip through.
+    reduction rule cannot slip through. The arithmetic below indexes the
+    tables directly: a + b is add_table[a][b], a * b is mul_table[a][b],
+    -a is neg_table[a] and 1/a is inv_table[a] (None at zero).
     """
 
     def __init__(self, order: int):
@@ -148,25 +150,6 @@ class FiniteField:
                     if self.mul_table[a][self.add_table[b][c]] != self.add_table[self.mul_table[a][b]][self.mul_table[a][c]]:
                         raise ValueError("distributivity fails")
 
-    # -- arithmetic --
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of zero")
-        return self.inv_table[a]
-
     def __eq__(self, other):
         return isinstance(other, FiniteField) and self.order == other.order
 
@@ -216,54 +199,54 @@ class LinearMap(namedtuple("LinearMap", "field rows")):
     def dim(self) -> int:
         return len(self.rows)
 
+    def _same_size(self, other: "LinearMap") -> None:
+        if other.dim != self.dim:
+            raise ValueError(f"cannot combine a {self.dim} x {self.dim} matrix "
+                             f"with a {other.dim} x {other.dim} one")
+
     def apply(self, v):
-        F = self.field
+        add, mul = self.field.add_table, self.field.mul_table
         out = []
         for row in self.rows:
             acc = 0
             for a, x in zip(row, v):
-                acc = F.add(acc, F.mul(a, x))
+                acc = add[acc][mul[a][x]]
             out.append(acc)
         return tuple(out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """Matrix product: self after other."""
-        F = self.field
-        n = self.dim
+        self._same_size(other)
+        add, mul = self.field.add_table, self.field.mul_table
+        n, right = self.dim, other.rows
         rows = []
-        for i in range(n):
+        for left in self.rows:
             row = []
             for j in range(n):
                 acc = 0
                 for l in range(n):
-                    acc = F.add(acc, F.mul(self.rows[i][l], other.rows[l][j]))
+                    acc = add[acc][mul[left[l]][right[l][j]]]
                 row.append(acc)
             rows.append(tuple(row))
-        return LinearMap(F, tuple(rows))
+        return LinearMap(self.field, tuple(rows))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        F = self.field
-        return LinearMap(
-            F,
-            tuple(
-                tuple(F.add(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        self._same_size(other)
+        add = self.field.add_table
+        return LinearMap(self.field, tuple(
+            tuple(add[a][b] for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+        ))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        F = self.field
-        return LinearMap(
-            F,
-            tuple(
-                tuple(F.sub(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        self._same_size(other)
+        add, neg = self.field.add_table, self.field.neg_table
+        return LinearMap(self.field, tuple(
+            tuple(add[a][neg[b]] for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+        ))
 
     def scale(self, c: int) -> "LinearMap":
-        F = self.field
-        return LinearMap(F, tuple(tuple(F.mul(c, e) for e in row) for row in self.rows))
+        times_c = self.field.mul_table[c]
+        return LinearMap(self.field, tuple(tuple(times_c[e] for e in row) for row in self.rows))
 
 
 def zero_map(F: FiniteField, dim: int) -> LinearMap:
@@ -278,6 +261,7 @@ def identity_map(F: FiniteField, dim: int) -> LinearMap:
 
 def rref(F: FiniteField, rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
+    add, mul, neg = F.add_table, F.mul_table, F.neg_table
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -292,12 +276,12 @@ def rref(F: FiniteField, rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        times_inv = mul[F.inv_table[rows[r][c]]]
+        rows[r] = [times_inv[x] for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+                times_factor = mul[rows[i][c]]
+                rows[i] = [add[x][neg[times_factor[y]]] for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -317,9 +301,9 @@ def pivot_columns(F: FiniteField, vectors) -> list[int]:
 
 def kernel_basis(t: LinearMap):
     """Basis of the null space, from the RREF free columns."""
-    F = t.field
+    neg = t.field.neg_table
     n = t.dim
-    reduced, pivots = rref(F, t.rows)
+    reduced, pivots = rref(t.field, t.rows)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
@@ -327,7 +311,7 @@ def kernel_basis(t: LinearMap):
         v = [0] * n
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = F.neg(reduced[r][fc])
+            v[pc] = neg[reduced[r][fc]]
         basis.append(tuple(v))
     return basis
 
@@ -508,9 +492,8 @@ def density_interpolate(target: LinearMap, points, ring_span) -> DensityResult |
     rhs = []
     for v in points:
         images = [M.apply(v) for M in span]
-        for i in range(dim):
-            rows.append([img[i] for img in images])
-            rhs.append(target.apply(v)[i])
+        rows.extend([img[i] for img in images] for i in range(dim))
+        rhs.extend(target.apply(v))
     if not rows:
         coeffs = tuple([0] * len(span))
         return DensityResult(coeffs, zero_map(F, dim))
@@ -575,6 +558,7 @@ def random_instance(F: FiniteField, dim: int, rng) -> SubspaceCoverInstance:
     target-assignment stage requires.
     """
     q = F.order
+    add, mul = F.add_table, F.mul_table
     if dim < max(2, q):
         raise ValueError(f"need dim >= {max(2, q)} for a covering pencil over GF({q})")
 
@@ -593,7 +577,7 @@ def random_instance(F: FiniteField, dim: int, rng) -> SubspaceCoverInstance:
             break
     # representatives of the pencil: phi1 + c*phi2 for c in F, then phi2
     functionals = [
-        tuple(F.add(a, F.mul(c, b)) for a, b in zip(phi1, phi2)) for c in range(q)
+        tuple(add[a][mul[c][b]] for a, b in zip(phi1, phi2)) for c in range(q)
     ] + [phi2]
     hyperplanes = [
         kernel_basis(LinearMap(F, (func,) + tuple(zero_vector(dim) for _ in range(dim - 1))))
@@ -602,7 +586,7 @@ def random_instance(F: FiniteField, dim: int, rng) -> SubspaceCoverInstance:
 
     w = tuple(rng.randrange(q) for _ in range(dim))
     f_prime = LinearMap(
-        F, tuple(tuple(F.mul(w[i], phi1[j]) for j in range(dim)) for i in range(dim))
+        F, tuple(tuple(mul[w[i]][phi1[j]] for j in range(dim)) for i in range(dim))
     )
     r0 = random_matrix()
     f = f_prime + r0
@@ -677,10 +661,12 @@ def module_recovery_to_json(inst: SubspaceCoverInstance, result: RecoveryResult)
 
 def module_recovery_from_json(data: dict, inst: SubspaceCoverInstance):
     """(field order, dim, r0, t, u, recovered) of a payload, its matrices
-    read over the instance's field."""
-    r0, t, u, recovered = (
+    read over the instance's field and required to have its size."""
+    r0, t, u, recovered = matrices = tuple(
         matrix_from_json(inst.field, data[key]) for key in ("r0", "t", "u", "recovered")
     )
+    if any(M.dim != inst.dim for M in matrices):
+        raise ValueError(f"r0, t, u and recovered must be {inst.dim} x {inst.dim}")
     order = int_from_json(data.get("field", -1), "field")
     return order, int_from_json(data.get("dim", -1), "dim"), r0, t, u, recovered
 

@@ -10,6 +10,7 @@ import inspect
 import pkgutil
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,15 @@ def test_generate_reads_the_point_cap_before_building(monkeypatch):
     message = "^tables of arity 1 to 2 on a 3-element universe exceed cap 11 points$"
     with pytest.raises(ResourceCapExceeded, match=message):
         ce.generate([], 2, universe=u3)
+
+
+def test_generate_on_one_element_takes_linear_time_up_to_the_point_cap():
+    # Each layer holds one projection of one point; building it by spelling
+    # out its j-tuple argument made the whole run quadratic in the bound.
+    start = time.perf_counter()
+    fragment = ce.generate([], ce.POINT_CAP, universe=fc.Universe(1))
+    assert time.perf_counter() - start < 2.0
+    assert fragment.member_count() == ce.POINT_CAP
 
 
 def cap_constants():

@@ -805,6 +805,19 @@ def test_verify_module_recovery_reads_integers_strictly(tmp_path, edit):
     assert "unusable payload" in verdict["reason"]
 
 
+@pytest.mark.parametrize("key", ["r0", "t", "u", "recovered"])
+@pytest.mark.parametrize("matrix", [[], [[1, 0], [0, 1]]], ids=["empty", "2x2"])
+def test_verify_module_recovery_rejects_matrices_of_the_wrong_size(tmp_path, key, matrix):
+    inst_path = str(tmp_path / "inst.json")
+    invoke(["module", "demo", "--field", "2", "--dim", "3", "--seed", "1", "--out", inst_path])
+    cert_path = str(tmp_path / "mod.json")
+    invoke(["module", "recover", "--instance", inst_path, "--cert", cert_path])
+    forged = _forge(tmp_path, cert_path, [inst_path], lambda p: p.update({key: matrix}))
+    code, verdict, _ = invoke(["verify", forged, "--inputs", inst_path])
+    assert code == 0 and verdict == {
+        "valid": False, "reason": "unusable payload: r0, t, u and recovered must be 3 x 3"}
+
+
 def test_verify_rejects_an_unhashable_kind():
     cert = cli.make_certificate("dagger", {}, [])
     cert["kind"] = ["dagger"]

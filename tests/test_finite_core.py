@@ -36,6 +36,15 @@ from clonelab.finite_core import (
 )
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_projection_tables_match_the_tabulated_coordinate(size):
+    universe = Universe(size)
+    for arity in range(1, 5):
+        for index in range(arity):
+            expected = operation_from_callable(universe, arity, lambda *args: args[index])
+            assert projection(universe, arity, index) == expected
+
+
 def test_universe_validation():
     with pytest.raises(ValueError):
         Universe(0)

@@ -18,6 +18,7 @@ from clonelab.simple_module import (
     image_basis,
     instance_from_json,
     instance_to_json,
+    invert_matrix,
     kernel_basis,
     map_from_basis_images,
     matrix_unit_span,
@@ -37,8 +38,8 @@ def test_fields_construct_and_satisfy_axioms(q):
     F = field_of_order(q)  # axioms verified exhaustively inside
     assert F.order == q
     for a in range(1, q):
-        assert F.mul(a, F.inv(a)) == 1
-        assert F.add(a, F.neg(a)) == 0
+        assert F.mul_table[a][F.inv_table[a]] == 1
+        assert F.add_table[a][F.neg_table[a]] == 0
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 10, 16])
@@ -49,15 +50,160 @@ def test_invalid_field_orders(q):
 
 def test_gf4_has_no_characteristic_2_surprises():
     F = field_of_order(4)
-    assert all(F.add(a, a) == 0 for a in range(4))
+    assert all(F.add_table[a][a] == 0 for a in range(4))
     # multiplicative group is cyclic of order 3: x, x^2, x^3 = 1
     powers = []
     acc = 1
     for _ in range(3):
-        acc = F.mul(acc, 2)
+        acc = F.mul_table[acc][2]
         powers.append(acc)
     assert acc == 1 and sorted(powers) == [1, 2, 3]
-    assert sorted(F.mul(2, b) for b in range(1, 4)) == [1, 2, 3]
+    assert sorted(F.mul_table[2][b] for b in range(1, 4)) == [1, 2, 3]
+
+
+# Each field's characteristic and monic modulus, little-endian: elements are
+# read as base-p digit polynomials and multiplied modulo the modulus. The
+# prime fields take the modulus x; GF(4) and GF(8) take x^2 = x + 1 and
+# x^3 = x + 1 over GF(2); GF(9) takes x^2 = 2 over GF(3).
+MODULI = {
+    2: (2, (0, 1)), 3: (3, (0, 1)), 5: (5, (0, 1)), 7: (7, (0, 1)),
+    4: (2, (1, 1, 1)), 8: (2, (1, 1, 0, 1)), 9: (3, (1, 0, 1)),
+}
+
+
+class PolyField:
+    """Field arithmetic from the polynomial definition, reading no table."""
+
+    def __init__(self, q):
+        self.q = q
+        self.p, self.modulus = MODULI[q]
+        self.k = len(self.modulus) - 1
+
+    def digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.k)]
+
+    def number(self, coefficients):
+        return sum(c % self.p * self.p ** i for i, c in enumerate(coefficients))
+
+    def add(self, a, b):
+        return self.number(x + y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def sub(self, a, b):
+        return self.number(x - y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def mul(self, a, b):
+        product = [0] * (2 * self.k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                product[i + j] += x * y
+        for top in range(len(product) - 1, self.k - 1, -1):
+            c = product[top]
+            for i, m in enumerate(self.modulus):
+                product[top - self.k + i] -= c * m
+        return self.number(product[:self.k])
+
+    def inv(self, a):
+        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+    def dot(self, row, v):
+        acc = 0
+        for a, x in zip(row, v):
+            acc = self.add(acc, self.mul(a, x))
+        return acc
+
+    def product(self, left, right):
+        columns = list(zip(*right))
+        return tuple(tuple(self.dot(row, col) for col in columns) for row in left)
+
+    def rref(self, rows):
+        """Gauss-Jordan elimination; the reduced form is unique."""
+        rows = [list(r) for r in rows]
+        pivots = []
+        for c in range(len(rows[0]) if rows else 0):
+            r = len(pivots)
+            found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if found is None:
+                continue
+            rows[r], rows[found] = rows[found], rows[r]
+            scale = self.inv(rows[r][c])
+            rows[r] = [self.mul(scale, x) for x in rows[r]]
+            for i in range(len(rows)):
+                if i != r:
+                    f = rows[i][c]
+                    rows[i] = [self.sub(x, self.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            pivots.append(c)
+        return [tuple(r) for r in rows], pivots
+
+
+def _random_rows(rng, q, nrows, ncols, rank_deficient=False):
+    rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+    if rank_deficient and nrows >= 3:
+        # the last row combines the first two, so the rank drops
+        P, c = PolyField(q), rng.randrange(q)
+        rows[-1] = [P.add(a, P.mul(c, b)) for a, b in zip(rows[0], rows[1])]
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_field_tables_match_the_polynomial_definition(q):
+    F, P = field_of_order(q), PolyField(q)
+    for a in range(q):
+        assert F.neg_table[a] == P.sub(0, a)
+        assert F.inv_table[a] == (P.inv(a) if a else None)
+        for b in range(q):
+            assert F.add_table[a][b] == P.add(a, b)
+            assert F.mul_table[a][b] == P.mul(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_matrix_kernels_match_the_polynomial_oracle(q):
+    rng = random.Random(1000 + q)
+    F, P = field_of_order(q), PolyField(q)
+    for trial in range(6):
+        n = 2 + trial % 3
+        a_rows = _random_rows(rng, q, n, n, rank_deficient=trial % 2 == 1)
+        b_rows = _random_rows(rng, q, n, n)
+        A, B = LinearMap(F, a_rows), LinearMap(F, b_rows)
+        v = tuple(rng.randrange(q) for _ in range(n))
+        c = rng.randrange(q)
+        assert A.apply(v) == tuple(P.dot(row, v) for row in a_rows)
+        assert A.compose(B).rows == P.product(a_rows, b_rows)
+        assert (A + B).rows == tuple(
+            tuple(P.add(x, y) for x, y in zip(r, s)) for r, s in zip(a_rows, b_rows))
+        assert (A - B).rows == tuple(
+            tuple(P.sub(x, y) for x, y in zip(r, s)) for r, s in zip(a_rows, b_rows))
+        assert A.scale(c).rows == tuple(tuple(P.mul(c, x) for x in r) for r in a_rows)
+
+        wide = _random_rows(rng, q, n, n + 2, rank_deficient=trial % 2 == 0)
+        assert rref(F, wide) == P.rref(wide)
+
+        rhs = tuple(rng.randrange(q) for _ in range(n))
+        reduced, pivots = P.rref([r + (b,) for r, b in zip(a_rows, rhs)])
+        if n in pivots:
+            assert solve(F, a_rows, rhs) is None
+        else:
+            x = [0] * n
+            for r, pc in enumerate(pivots):
+                x[pc] = reduced[r][n]
+            assert solve(F, a_rows, rhs) == tuple(x)
+            assert tuple(P.dot(row, x) for row in a_rows) == rhs
+
+        inverse = invert_matrix(F, a_rows)
+        if len(P.rref(a_rows)[1]) < n:
+            assert inverse is None
+        else:
+            assert P.product(a_rows, inverse) == identity_map(F, n).rows
+
+
+@pytest.mark.parametrize("op", [
+    lambda a, b: a.compose(b), lambda a, b: a + b, lambda a, b: a - b,
+], ids=["compose", "add", "sub"])
+def test_matrices_of_different_sizes_do_not_combine(op):
+    F = field_of_order(2)
+    with pytest.raises(ValueError, match="^cannot combine a 3 x 3 matrix with a 2 x 2 one$"):
+        op(identity_map(F, 3), identity_map(F, 2))
+    with pytest.raises(ValueError):
+        op(identity_map(F, 3), zero_map(F, 0))
 
 
 def test_rref_and_rank():
@@ -97,7 +243,7 @@ def test_solve_consistency():
     for row, b in zip(rows, rhs):
         acc = 0
         for a, xi in zip(row, x):
-            acc = F.add(acc, F.mul(a, xi))
+            acc = F.add_table[acc][F.mul_table[a][xi]]
         assert acc == b
     assert solve(F, [(1, 0), (1, 0)], (0, 1)) is None
 
