@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .clone_engine import CloneFragment, inv
+from .clone_engine import CloneFragment
 from .finite_core import (
     Operation, ResourceCapExceeded, is_near_unanimity, object_from_json, operation_from_json,
-    parse_subset_key, preserves, subfamilies, superpose, table_from_json, universe_from_json,
+    parse_subset_key, subfamilies, superpose, table_from_json, universe_from_json,
 )
 from .ultralocal import Cover, cover_from_json, first_disagreement, ultra_closure_fragment
 
@@ -163,23 +163,6 @@ def nu_ultraclosure_check(
     )
     checked = closure.member_count()
     return NUClosureReport(not extras, h, extras, checked)
-
-
-def classical_bp_membership(f: Operation, fragment: CloneFragment, d: int) -> bool:
-    """Membership test via invariant relations: does f preserve every
-    invariant relation of arity < d of the fragment?
-
-    On a finite universe, for a fragment containing a d-ary
-    near-unanimity operation, this agrees with table membership in a
-    sufficiently generated fragment; the test suite compares both sides.
-    """
-    if d < 3:
-        raise ValueError("near-unanimity arity must be >= 3")
-    h = find_near_unanimity(fragment)
-    if h is None or h.arity != d:
-        raise ValueError(f"fragment has no near-unanimity member of arity {d}")
-    relations = inv(fragment, d - 1)
-    return all(preserves(f, rel) for rel in relations)
 
 
 # --- JSON interchange (bp_tree payload {"table": [int], "tree": node}) -------

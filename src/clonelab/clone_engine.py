@@ -162,6 +162,9 @@ def _close(keys, batches, full, j, member_cap):
     the prefix picks a frontier member (index >= old) and old otherwise.
     """
     seen = set(keys)
+    capped = ResourceCapExceeded(f"arity-{j} fragment exceeded member cap {member_cap}")
+    if len(seen) > member_cap:
+        raise capped
     # Each round composes over keys[:n]; its frontier is keys[old:n],
     # the members the previous round found.
     old = 0
@@ -173,9 +176,7 @@ def _close(keys, batches, full, j, member_cap):
                     seen.add(key)
                     keys.append(key)
                     if len(seen) > member_cap:
-                        raise ResourceCapExceeded(
-                            f"arity-{j} fragment exceeded member cap {member_cap}"
-                        )
+                        raise capped
                     if len(seen) == full:
                         return keys
         old = n

@@ -19,6 +19,7 @@ from collections import namedtuple
 
 OPERATION_CAP = 1 << 20
 RELATION_CAP = 1 << 16
+MATRIX_CAP = 1 << 20
 
 
 class ResourceCapExceeded(Exception):
@@ -233,19 +234,31 @@ def _find_preservation_violation(op: Operation, rel: Relation) -> PreservationWi
     m, members = op.universe.size, rel.tuples
     # Rows are visited in itertools.product order, so the first witness
     # found is the lexicographically least failing matrix.
-    for indices, offsets in prefix_folds(tuples, op.arity - 1, m, (0,) * rel.arity):
+    cap, count = MATRIX_CAP, len(tuples) ** op.arity
+    prefixes = prefix_folds(tuples, op.arity - 1, m, (0,) * rel.arity)
+    if count > cap:
+        # Each prefix covers len(tuples) matrices, one per last row.
+        prefixes = itertools.islice(prefixes, cap // len(tuples))
+    for indices, offsets in prefixes:
         lookup = offset_lookup(op.table, offsets, m).__getitem__
         for i, row in enumerate(tagged):
             image = tuple(map(lookup, row))
             if image not in members:
                 rows = tuple(tuples[k] for k in indices + (i,))
                 return PreservationWitness(rows=rows, image=image)
+    if count > cap:
+        raise ResourceCapExceeded(
+            f"matrix cap {cap} reached: scanned {cap // len(tuples) * len(tuples)} of the "
+            f"{count} matrices of {op.arity} rows from a relation of {len(tuples)} tuples, "
+            f"none failing"
+        )
     return None
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
     """True iff every row-wise application of op to relation tuples lands
-    back in the relation."""
+    back in the relation. Past MATRIX_CAP matrices with none failing, the
+    scan stops with ResourceCapExceeded."""
     return _find_preservation_violation(op, rel) is None
 
 

@@ -1,5 +1,4 @@
-"""Structural decision procedures: essential unarity, primitive positive
-formula evaluation, product-operation and product-clone detection, module
+"""Structural decision procedures: product-operation detection, module
 compatibility, and principal-ideal clone membership.
 
 All detectors are pure functions over immutable inputs.
@@ -7,13 +6,10 @@ All detectors are pure functions over immutable inputs.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
-from .clone_engine import CloneFragment, contains, fragments_equal
 from .finite_core import (
     Operation,
-    PreservationWitness,
     Relation,
     Universe,
     graph,
@@ -22,114 +18,9 @@ from .finite_core import (
     operation_from_json,
     preservation_witness,
     preserves,
-    rho3,
     table_from_json,
     universe_from_json,
 )
-from .interpolation import local_closure_fragment
-
-
-# --- primitive positive formulas -------------------------------------------
-
-class PPFormula(namedtuple("PPFormula", "free_vars bound_vars atoms")):
-    """Existentially quantified conjunction of relational atoms.
-
-    free_vars and bound_vars are tuples of variable names; atoms are
-    (relation name, variable tuple) pairs, whose names resolve in the
-    environment supplied at evaluation time.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, free_vars, bound_vars, atoms):
-        names = set(free_vars) | set(bound_vars)
-        if len(names) != len(free_vars) + len(bound_vars):
-            raise ValueError("variable names must be distinct")
-        for _, vars_ in atoms:
-            for v in vars_:
-                if v not in names:
-                    raise ValueError(f"atom uses undeclared variable {v!r}")
-        return tuple.__new__(cls, (free_vars, bound_vars, atoms))
-
-
-def eval_pp_formula(
-    formula: PPFormula, env: dict[str, Relation], universe: Universe
-) -> Relation:
-    """Evaluate by joining the atoms' tuple sets one by one, then
-    projecting onto the free variables. No constraint propagation; the
-    universes here are tiny."""
-    # rows: assignments to the ordered variable list seen so far
-    bound_order: list[str] = []
-    rows: set[tuple[int, ...]] = {()}
-    for name, vars_ in formula.atoms:
-        if name not in env:
-            raise ValueError(f"unresolved relation name {name!r}")
-        rel = env[name]
-        if rel.arity != len(vars_):
-            raise ValueError(
-                f"atom {name}{vars_} has {len(vars_)} variables, relation has arity {rel.arity}"
-            )
-        fresh = []
-        for v in vars_:
-            if v not in bound_order and v not in fresh:
-                fresh.append(v)
-        new_rows = set()
-        for row in rows:
-            for tup in rel.tuples:
-                assignment = dict(zip(bound_order, row))
-                consistent = True
-                for v, value in zip(vars_, tup):
-                    if v in assignment and assignment[v] != value:
-                        consistent = False
-                        break
-                    assignment[v] = value
-                if consistent:
-                    new_rows.add(row + tuple(assignment[v] for v in fresh))
-        bound_order.extend(fresh)
-        rows = new_rows
-    # Free variables never mentioned in an atom range over the whole universe.
-    missing = [v for v in formula.free_vars if v not in bound_order]
-    if missing:
-        expanded = set()
-        for row in rows:
-            for values in universe.tuples(len(missing)):
-                expanded.add(row + values)
-        bound_order.extend(missing)
-        rows = expanded
-    positions = {v: i for i, v in enumerate(bound_order)}
-    out = frozenset(
-        tuple(row[positions[v]] for v in formula.free_vars) for row in rows
-    )
-    return Relation(universe, len(formula.free_vars), out)
-
-
-def psi_formula() -> PPFormula:
-    """exists y (rho3(x0,x1,y) and rho3(y,x2,x3))."""
-    return PPFormula(
-        free_vars=("x0", "x1", "x2", "x3"),
-        bound_vars=("y",),
-        atoms=(("rho3", ("x0", "x1", "y")), ("rho3", ("y", "x2", "x3"))),
-    )
-
-
-def phi_formula() -> PPFormula:
-    """Conjunction of psi(x0,x1,x2,x3) and psi(x1,x0,x2,x3); defines the
-    4-ary relation {a=b or c=d}."""
-    return PPFormula(
-        free_vars=("x0", "x1", "x2", "x3"),
-        bound_vars=("y0", "y1"),
-        atoms=(
-            ("rho3", ("x0", "x1", "y0")),
-            ("rho3", ("y0", "x2", "x3")),
-            ("rho3", ("x1", "x0", "y1")),
-            ("rho3", ("y1", "x2", "x3")),
-        ),
-    )
-
-
-def is_essentially_unary(op: Operation) -> bool:
-    """Relational characterization of dependence on at most one variable."""
-    return preserves(op, rho3(op.universe))
 
 
 # --- product universes ------------------------------------------------------
@@ -247,89 +138,6 @@ def recheck_product_decomp(decoded, op: Operation) -> str | None:
     if product_operation(pu, f_a, f_b).table != op.table:
         return "factors do not recompose to the operation"
     return None
-
-
-class ProductCloneResult(
-    namedtuple("ProductCloneResult", "is_product factor_left factor_right failing_member")
-):
-    """The factor fragments of a product clone, or the first member that
-    does not split (None when the band operation is what is missing)."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.is_product
-
-
-def is_product_clone(fragment: CloneFragment, pu: ProductUniverse) -> ProductCloneResult:
-    """A fragment is a product exactly when every member splits and the
-    rectangular band operation is a member."""
-    if fragment.universe != pu.paired:
-        raise ValueError("fragment does not live on the paired universe")
-    if fragment.arity_bound < 2:
-        raise ValueError("product detection needs arity bound >= 2")
-    left_members: dict[int, list[Operation]] = {}
-    right_members: dict[int, list[Operation]] = {}
-    for j in sorted(fragment.members):
-        left_members[j] = []
-        right_members[j] = []
-        seen_left, seen_right = set(), set()
-        for op in fragment.members[j]:
-            split = decompose_product(pu, op)
-            if not split:
-                return ProductCloneResult(False, None, None, op)
-            if split.factor_left.table not in seen_left:
-                seen_left.add(split.factor_left.table)
-                left_members[j].append(split.factor_left)
-            if split.factor_right.table not in seen_right:
-                seen_right.add(split.factor_right.table)
-                right_members[j].append(split.factor_right)
-    if not contains(fragment, star_operation(pu)):
-        return ProductCloneResult(False, None, None, None)
-    bound = fragment.arity_bound
-    left = CloneFragment.from_members(
-        pu.left, bound, {j: tuple(ops) for j, ops in left_members.items()}
-    )
-    right = CloneFragment.from_members(
-        pu.right, bound, {j: tuple(ops) for j, ops in right_members.items()}
-    )
-    return ProductCloneResult(True, left, right, None)
-
-
-def product_clone(
-    P: CloneFragment, Q: CloneFragment, arity_bound: int
-) -> CloneFragment:
-    """The fragment of the product clone: arity-n members are exactly the
-    products of an arity-n member of P with one of Q."""
-    if arity_bound > min(P.arity_bound, Q.arity_bound):
-        raise ValueError("arity bound exceeds a factor's bound")
-    pu = ProductUniverse(P.universe, Q.universe)
-    members = {}
-    for j in range(1, arity_bound + 1):
-        members[j] = tuple(
-            product_operation(pu, g, h)
-            for g, h in itertools.product(P.members[j], Q.members[j])
-        )
-    return CloneFragment.from_members(pu.paired, arity_bound, members)
-
-
-def closure_commutation_check(
-    P: CloneFragment,
-    Q: CloneFragment,
-    kappa,
-    arity_bound: int,
-) -> bool:
-    """Compare closing the product against the product of the closures,
-    as an exact fragment equality at the given arity bound. The closure is
-    the local one, which on a finite set is also the cover-condition one."""
-    product = product_clone(P, Q, arity_bound)
-    left_side = local_closure_fragment(product, kappa, arity_bound)
-    right_side = product_clone(
-        local_closure_fragment(P, kappa, arity_bound),
-        local_closure_fragment(Q, kappa, arity_bound),
-        arity_bound,
-    )
-    return fragments_equal(left_side, right_side)
 
 
 # --- module compatibility ----------------------------------------------------

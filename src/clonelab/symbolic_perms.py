@@ -9,7 +9,6 @@ they back is window-relative.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .finite_core import (
@@ -262,48 +261,6 @@ def verify_alt_cover(witness: AltCoverWitness) -> bool:
     )
 
 
-class AltSeparationVerdict(
-    namedtuple("AltSeparationVerdict", "is_member window interpolable_on_window interpolants")
-):
-    """The two facts separating pointwise interpolability from membership:
-    whether the permutation is even, and whether each single window point
-    is matched by some even permutation (interpolants maps each point to
-    one such FinSuppPermutation)."""
-
-    __slots__ = ()
-
-
-def alt_not_locally_interpolable(
-    f: FinSuppPermutation, window: int
-) -> AltSeparationVerdict:
-    """For each point x in the window, exhibit an even permutation sending
-    x where f does (a 3-cycle through a spare point when f moves x), and
-    report evenness of f itself."""
-    if window < 3:
-        raise ValueError("window must contain at least three points")
-    interpolants: dict[int, FinSuppPermutation] = {}
-    for x in range(window):
-        y = f(x)
-        if y == x:
-            interpolants[x] = identity()
-        else:
-            # The window holds 0, 1 and 2, so one of them is a spare point.
-            interpolants[x] = from_cycles([(x, y, min({0, 1, 2} - {x, y}))])
-    # A 3-cycle is even, so every window point has its interpolant.
-    return AltSeparationVerdict(f.is_even(), window, True, interpolants)
-
-
-def even_permutations_of(points) -> list[FinSuppPermutation]:
-    """All even permutations whose support lies in the given point set."""
-    points = sorted(set(points))
-    out = []
-    for image in itertools.permutations(points):
-        p = FinSuppPermutation(dict(zip(points, image)))
-        if p.is_even():
-            out.append(p)
-    return out
-
-
 def alt_B_locally_closed_check(moved: dict[int, int], support_bound, probe_points) -> bool:
     """Pointwise-interpolability test against the group of even
     permutations supported inside support_bound.
@@ -343,10 +300,6 @@ def moved_map_from_json(moved) -> dict[int, int]:
         int_from_json_key(k, "moved point"): int_from_json(v, "moved point image")
         for k, v in object_from_json(moved, "moved map").items()
     }
-
-
-def permutation_from_json(data: dict) -> FinSuppPermutation:
-    return FinSuppPermutation(moved_map_from_json(data["moved"]))
 
 
 def alt_cover_to_json(witness: AltCoverWitness) -> dict:

@@ -85,10 +85,6 @@ class Cover(namedtuple("Cover", "universe domain_arity blocks")):
             raise ValueError("blocks do not cover the whole domain")
         return tuple.__new__(cls, (universe, domain_arity, tuple(frozen)))
 
-    def is_partition(self) -> bool:
-        total = sum(len(b) for b in self.blocks)
-        return total == self.universe.size ** self.domain_arity
-
     def block_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << i for i in block) for block in self.blocks)
 

@@ -11,7 +11,7 @@ import random
 import time
 
 from clonelab import cli
-from clonelab.clone_engine import fragments_equal, generate
+from clonelab.clone_engine import CloneFragment, fragments_equal, generate
 from clonelab.finite_core import (
     Operation,
     Universe,
@@ -23,15 +23,12 @@ from clonelab.finite_core import (
     preserves,
     rho3,
 )
-from clonelab.interpolation import InterpolationQuery, is_lambda_interpolable
+from clonelab.interpolation import InterpolationQuery, is_lambda_interpolable, local_closure_fragment
 from clonelab.simple_module import field_of_order, random_instance, recover
 from clonelab.structure_detect import (
     ProductUniverse,
     decompose_product,
-    closure_commutation_check,
-    eval_pp_formula,
     goldstern_shelah_member,
-    phi_formula,
     product_operation,
     star_operation,
 )
@@ -39,7 +36,6 @@ from clonelab.symbolic_perms import (
     FinSuppPermutation,
     alt_B_locally_closed_check,
     alt_cover_witness,
-    even_permutations_of,
     in_alt,
     transposition,
     verify_alt_cover,
@@ -136,10 +132,15 @@ def test_criterion_03_essential_unarity_and_pp_formula():
                 if preserves(op, rel) != is_essentially_unary_direct(op):
                     mismatches += 1
     assert mismatches == 0
+    # phi(a,b,c,d) = exists y0,y1 (rho3(a,b,y0) & rho3(y0,c,d) & rho3(b,a,y1) & rho3(y1,c,d))
     for m in (2, 3, 4):
         universe = Universe(m)
-        derived = eval_pp_formula(phi_formula(), {"rho3": rho3(universe)}, universe)
-        assert derived.tuples == pi4(universe).tuples
+        r = rho3(universe).tuples
+        derived = {
+            (a, b, c, d) for a, b, c, d in universe.tuples(4)
+            if any({(a, b, y0), (y0, c, d), (b, a, y1), (y1, c, d)} <= r for y0, y1 in universe.tuples(2))
+        }
+        assert derived == pi4(universe).tuples
     _passline(3, f"{checked} operations, zero mismatches; formula defines the 4-ary relation", started)
 
 
@@ -234,12 +235,24 @@ def test_criterion_05_near_unanimity_closure_and_interpolants():
     _passline(5, "closure fixes the majority fragment; 50/50 interpolants exact", started)
 
 
+def _product_clone(P, Q, bound):
+    """Arity-j members: the products of an arity-j member of P with one of Q."""
+    pu = ProductUniverse(P.universe, Q.universe)
+    members = {j: tuple(product_operation(pu, g, h) for g in P.members[j] for h in Q.members[j])
+               for j in range(1, bound + 1)}
+    return CloneFragment.from_members(pu.paired, bound, members)
+
+
 def test_criterion_06_product_closure_commutation():
     started = time.time()
     neg = operation_from_callable(U2, 1, lambda a: 1 - a)
     factors = [generate([], 1, universe=U2), generate([neg], 1)]
     for P, Q in itertools.product(factors, repeat=2):
-        assert closure_commutation_check(P, Q, 4, 1)
+        closed_product = local_closure_fragment(_product_clone(P, Q, 1), 4, 1)
+        product_of_closed = _product_clone(
+            local_closure_fragment(P, 4, 1), local_closure_fragment(Q, 4, 1), 1
+        )
+        assert fragments_equal(closed_product, product_of_closed)
     _passline(6, "closing the product equals the product of closures (4 pairs)", started)
 
 
@@ -256,7 +269,10 @@ def test_criterion_07_alternating_witnesses():
     window = 12
     bound = [0, 1, 2, 3]
     probes = [x for x in range(window) if x not in bound]
-    even_in_bound = even_permutations_of(bound)
+    even_in_bound = [
+        p for p in (FinSuppPermutation(dict(zip(bound, image))) for image in itertools.permutations(bound))
+        if p.is_even()
+    ]
     accepted = rejected = 0
     for i in range(500):
         style = i % 3

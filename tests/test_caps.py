@@ -75,6 +75,26 @@ def test_pol_and_the_local_closure_read_the_operation_cap_when_they_run(monkeypa
     assert ce.pol([], 2, universe=U2).member_count() == 4 + 16
 
 
+def test_the_preservation_scan_reads_the_matrix_cap_when_it_runs(monkeypatch):
+    rel = fc.rho3(U2)  # 6 tuples: 216 matrices for a ternary operation
+    first = fc.projection(U2, 3, 0)
+    majority = fc.operation_from_callable(U2, 3, lambda a, b, c: (a & b) | (a & c) | (b & c))
+    witness = fc.preservation_witness(majority, rel)  # in the third prefix of 6 matrices
+    monkeypatch.setattr(fc, "MATRIX_CAP", 216)
+    assert fc.preserves(first, rel)
+    monkeypatch.setattr(fc, "MATRIX_CAP", 18)
+    assert fc.preservation_witness(majority, rel) == witness
+    message = "^matrix cap 18 reached: scanned 18 of the 216 matrices of 3 rows from a relation of 6 tuples, none failing$"
+    with pytest.raises(ResourceCapExceeded, match=message):
+        fc.preserves(first, rel)
+    monkeypatch.setattr(fc, "MATRIX_CAP", 17)
+    with pytest.raises(ResourceCapExceeded, match="^matrix cap 17 reached: scanned 12 of the 216 "):
+        fc.preservation_witness(majority, rel)
+    monkeypatch.setattr(fc, "MATRIX_CAP", 5)
+    with pytest.raises(ResourceCapExceeded, match="^matrix cap 5 reached: scanned 0 of the 6 "):
+        fc.preserves(fc.projection(U2, 1, 0), rel)
+
+
 def test_filter_fragment_keeps_all_operations_order():
     kept = ce.filter_fragment(U2, 2, lambda op: op.table[0] == 0)
     assert [op.table for op in kept.members[1]] == [(0, 0), (0, 1)]

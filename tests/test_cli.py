@@ -987,6 +987,17 @@ def test_caps_in_the_cover_search_and_the_subset_scan_exit_2(workdir, monkeypatc
     assert result["error"]["message"].startswith("subset cap 1 reached: scanned 1 of the 6")
 
 
+def test_ess_unary_on_a_12_ary_projection_exits_2_at_the_matrix_cap(tmp_path):
+    # 6^12 matrices of rho3 rows; uncapped this scan would take about 40 minutes
+    proj = write_json(tmp_path, "p.json", {"arity": 12, "table": [x >> 11 for x in range(4096)]})
+    started = time.perf_counter()
+    code, result, _ = invoke(["detect", "ess-unary", "--op", proj])
+    assert time.perf_counter() - started < 2.0
+    assert (code, result) == (2, {"error": {"type": "resource_cap", "message": (
+        "matrix cap 1048576 reached: scanned 1048572 of the 2176782336 matrices of 12 rows "
+        "from a relation of 6 tuples, none failing")}})
+
+
 def test_verify_of_a_forged_dagger_with_2_to_the_26_subfamilies_is_fast(tmp_path):
     u3_gens = write_json(tmp_path, "gens.json", {"universe": {"size": 3}, "operations": []})
     frag = str(tmp_path / "frag.json")

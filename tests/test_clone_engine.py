@@ -88,6 +88,15 @@ def test_generate_member_cap(u2, gates):
         generate([gates["nand"]], 2, member_cap=5)
 
 
+def test_generate_member_cap_counts_the_projections(u2, gates):
+    for gens in ([], [gates["id"]]):
+        with pytest.raises(ResourceCapExceeded, match="^arity-2 fragment exceeded member cap 1$"):
+            generate(gens, 3, universe=u2, member_cap=1)
+        assert generate(gens, 3, universe=u2, member_cap=3).member_count() == 1 + 2 + 3
+    with pytest.raises(ResourceCapExceeded, match="^arity-1 fragment exceeded member cap 1$"):
+        generate([gates["not"]], 3, member_cap=1)
+
+
 def test_contains_examples(u2, gates):
     fragmaj = generate([gates["maj"]], 3)
     assert contains(fragmaj, gates["maj"])

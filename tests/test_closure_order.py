@@ -36,6 +36,8 @@ def naive_layer(m, gens, j, cap=None):
     # element all j projections share a table.
     tables = list(dict.fromkeys(tuple(p[i] for p in points) for i in range(j)))
     seen = set(tables)
+    if cap is not None and len(seen) > cap:
+        raise OracleCap(f"arity-{j} fragment exceeded member cap {cap}")
     full = m ** len(points)
     frontier = set(range(len(tables)))
     while frontier and len(seen) < full:

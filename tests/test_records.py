@@ -68,16 +68,13 @@ RECORDS = {
     bp.BPInstance: _bp_instance,
     bp.BPResult: lambda: bp.bp_interpolate(_bp_instance()),
     bp.NUClosureReport: lambda: bp.nu_ultraclosure_check(ce.generate([MAJ], 3), 2),
-    sd.PPFormula: sd.psi_formula,
     sd.ProductUniverse: lambda: sd.ProductUniverse(U2, U2),
     sd.DecompositionResult: lambda: sd.decompose_product(
         sd.ProductUniverse(U2, U2), fc.projection(U4, 2, 0)
     ),
-    sd.ProductCloneResult: lambda: sd.ProductCloneResult(False, None, None, None),
     sd.AbelianGroup: lambda: sd.AbelianGroup(U2, XOR, ID, 0),
     sp.SymbolicCover: lambda: sp.SymbolicCover(2, (frozenset({0}), frozenset({1}))),
     sp.AltCoverWitness: lambda: sp.alt_cover_witness(1, 0, 1, 4),
-    sp.AltSeparationVerdict: lambda: sp.alt_not_locally_interpolable(sp.transposition(0, 1), 4),
     sm.LinearMap: lambda: I2,
     sm.SubspaceCoverInstance: lambda: sm.random_instance(GF2, 3, random.Random(1)),
     sm.DensityResult: lambda: sm.DensityResult((1,), I2),
@@ -91,7 +88,7 @@ def test_every_record_class_has_a_case():
         if isinstance(obj, type) and obj.__module__ == mod.__name__ and issubclass(obj, tuple)
     }
     assert defined == set(RECORDS)
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 24
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -177,8 +174,6 @@ NEG_BAD = fc.Operation(U2, 1, (1, 1))
      "block vector of wrong dimension"),
     (lambda: sm.SubspaceCoverInstance(GF2, 2, I2, (sm.zero_map(GF2, 2),), (((1, 0),),)),
      "target disagrees with its interpolant at block vector (1, 0)"),
-    (lambda: sd.PPFormula(("x",), ("x",), ()), "variable names must be distinct"),
-    (lambda: sd.PPFormula(("x",), (), (("R", ("y",)),)), "atom uses undeclared variable 'y'"),
     (lambda: sd.AbelianGroup(U2, NOT, ID, 0),
      "addition must be a binary operation on the universe"),
     (lambda: sd.AbelianGroup(U2, XOR, XOR, 0), "negation must be unary on the universe"),

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from clonelab.clone_engine import fragments_equal, generate, pol
+from clonelab.clone_engine import CloneFragment, fragments_equal, generate, pol
 from clonelab.finite_core import (
     Operation,
-    Relation,
     Universe,
     all_operations,
     constant_op,
@@ -20,21 +19,12 @@ from clonelab.finite_core import (
 from clonelab.interpolation import local_closure_fragment
 from clonelab.structure_detect import (
     AbelianGroup,
-    PPFormula,
-    ProductCloneResult,
     ProductUniverse,
-    closure_commutation_check,
     decompose_product,
-    eval_pp_formula,
     gamma_plus,
     gamma_star,
     goldstern_shelah_member,
-    is_essentially_unary,
-    is_product_clone,
-    phi_formula,
-    product_clone,
     product_operation,
-    psi_formula,
     star_operation,
 )
 from clonelab.ultralocal import ultra_closure_fragment
@@ -67,50 +57,34 @@ def zmod(n):
     )
 
 
+def psi(r, universe, x0, x1, x2, x3):
+    """exists y (rho3(x0,x1,y) and rho3(y,x2,x3)), by brute force over y."""
+    return any((x0, x1, y) in r and (y, x2, x3) in r for y in universe.elements())
+
+
 def test_psi_on_three_elements(u3):
-    got = eval_pp_formula(psi_formula(), {"rho3": rho3(u3)}, u3)
+    r = rho3(u3).tuples
+    got = frozenset(x for x in u3.tuples(4) if psi(r, u3, *x))
     expected = frozenset(
         t for t in u3.tuples(4) if t[0] == t[1] or t[2] == t[3] or t[1] == t[2]
     )
-    assert got.tuples == expected
+    assert got == expected
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_phi_defines_pi4(size):
+    # phi(x0,x1,x2,x3) = psi(x0,x1,x2,x3) and psi(x1,x0,x2,x3)
     u = Universe(size)
-    got = eval_pp_formula(phi_formula(), {"rho3": rho3(u)}, u)
-    assert got.tuples == pi4(u).tuples
+    r = rho3(u).tuples
+    got = frozenset(
+        (a, b, c, d) for a, b, c, d in u.tuples(4) if psi(r, u, a, b, c, d) and psi(r, u, b, a, c, d)
+    )
+    assert got == pi4(u).tuples
 
 
-def test_single_atom_formula_is_identity(u2):
-    formula = PPFormula(("x", "y"), (), (("r", ("x", "y")),))
-    rel = neq(u2)
-    assert eval_pp_formula(formula, {"r": rel}, u2).tuples == rel.tuples
-
-
-def test_formula_errors(u2):
-    with pytest.raises(ValueError):
-        PPFormula(("x",), ("x",), ())  # name clash
-    with pytest.raises(ValueError):
-        PPFormula(("x",), (), (("r", ("z",)),))  # undeclared variable
-    formula = PPFormula(("x", "y"), (), (("r", ("x", "y")),))
-    with pytest.raises(ValueError):
-        eval_pp_formula(formula, {}, u2)  # unresolved name
-    with pytest.raises(ValueError):
-        eval_pp_formula(formula, {"r": rho3(u2)}, u2)  # arity mismatch
-
-
-def test_a_free_variable_no_atom_mentions_ranges_over_the_universe(u2):
-    ones = Relation(u2, 1, frozenset({(1,)}))
-    formula = PPFormula(("x", "y"), (), (("r", ("y",)),))
-    assert eval_pp_formula(formula, {"r": ones}, u2).tuples == frozenset({(0, 1), (1, 1)})
-    assert eval_pp_formula(PPFormula(("x",), (), ()), {}, u2).tuples == frozenset({(0,), (1,)})
-
-
-def test_repeated_variable_atom(u2):
-    formula = PPFormula(("x",), (), (("r", ("x", "x")),))
-    rel = neq(u2)
-    assert eval_pp_formula(formula, {"r": rel}, u2).tuples == frozenset()
+def is_essentially_unary(op):
+    """What `detect ess-unary` decides: preservation of rho3."""
+    return preserves(op, rho3(op.universe))
 
 
 def test_is_essentially_unary_examples(u2, u3, gates):
@@ -190,40 +164,20 @@ def test_decomposition_matches_band_graph_exhaustive(u2):
         assert a == b == c
 
 
-def test_is_product_clone(u2, gates):
-    pu = ProductUniverse(u2, u2)
-    star = star_operation(pu)
-    assert is_product_clone(generate([star], 2), pu)
-
-    built = product_clone(generate([gates["and"]], 2), generate([gates["or"]], 2), 2)
-    result = is_product_clone(built, pu)
-    assert result
-    assert result.factor_left.tables(2) == generate([gates["and"]], 2).tables(2)
-    assert result.factor_right.tables(2) == generate([gates["or"]], 2).tables(2)
-
-    # every projection splits, but the rectangular band operation is missing
-    projections_only = generate([], 2, universe=pu.paired)
-    assert is_product_clone(projections_only, pu) == ProductCloneResult(False, None, None, None)
-
-    swap = Operation(pu.paired, 1, (3, 1, 2, 0))
-    bad = generate([swap, star], 2)
-    verdict = is_product_clone(bad, pu)
-    assert not verdict and verdict.failing_member is not None
-
-
-def test_product_clone_members(u2, gates):
-    P = generate([gates["not"]], 1)
-    Q = generate([], 1, universe=u2)
-    built = product_clone(P, Q, 1)
-    assert len(built.members[1]) == len(P.members[1]) * len(Q.members[1])
+def product_clone(P, Q, bound):
+    """Arity-j members: the products of an arity-j member of P with one of Q."""
+    pu = ProductUniverse(P.universe, Q.universe)
+    members = {j: tuple(product_operation(pu, g, h) for g in P.members[j] for h in Q.members[j])
+               for j in range(1, bound + 1)}
+    return CloneFragment.from_members(pu.paired, bound, members)
 
 
 @pytest.mark.parametrize(
     "closure", [ultra_closure_fragment, local_closure_fragment], ids=["ultra", "local"]
 )
 def test_closure_commutation(u2, gates, closure):
-    # The identity is checked directly with each closure, the cover-condition
-    # one and the local one, and closure_commutation_check must agree.
+    # Closing the product equals the product of the closures, with the
+    # cover-condition closure and with the local one.
     P = generate([], 1, universe=u2)
     Q = generate([gates["not"]], 1)
     for left, right in itertools.product([P, Q], repeat=2):
@@ -232,7 +186,6 @@ def test_closure_commutation(u2, gates, closure):
             closure(left, 4, 1), closure(right, 4, 1), 1
         )
         assert fragments_equal(closed_product, product_of_closed)
-        assert closure_commutation_check(left, right, 4, 1)
 
 
 def test_abelian_group_validation(u2):
