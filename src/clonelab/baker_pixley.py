@@ -86,12 +86,14 @@ BPResult = namedtuple("BPResult", "operation tree")
 
 
 def bp_interpolate(inst: BPInstance) -> BPResult:
-    """Build the full-cover interpolant bottom-up, memoizing one
-    interpolant per subfamily per level.
+    """Build the full-cover interpolant top-down from the full block set,
+    memoizing one interpolant per subfamily the tree reaches.
 
     The tree has T(n) nodes for n blocks, where T(k) = 1 for k < d and
-    1 + d*T(k-1) otherwise; no subfamily loop is longer. Past TREE_CAP
-    nodes nothing is built.
+    1 + d*T(k-1) otherwise, and past TREE_CAP nodes nothing is built.
+    Only the subfamilies the tree reaches are built, each once: for d = 3
+    that is 35 of the 99 subfamilies of at least 3 of 7 blocks, and 220 of
+    the 4,017 for 12 blocks.
     """
     d = inst.h.arity
     nblocks = len(inst.cover.blocks)
@@ -104,22 +106,21 @@ def bp_interpolate(inst: BPInstance) -> BPResult:
                 f"operation exceeds cap {TREE_CAP} nodes"
             )
     memo: dict[frozenset[int], tuple[Operation, InterpolantNode]] = {}
-    for key, t in inst.base_interpolants.items():
-        memo[key] = (t, InterpolantNode(tuple(sorted(key)), base=True))
 
-    # With fewer than d blocks the base interpolants already cover them all.
-    full = frozenset(range(nblocks))
-    for m in range(d, nblocks + 1):
-        for combo in itertools.combinations(range(nblocks), m):
-            key = frozenset(combo)
-            ordered = sorted(combo)
-            # Drop one block at a time; the first d children feed h.
-            children = [key - {ordered[i]} for i in range(d)]
-            ops, nodes = zip(*(memo[c] for c in children))
-            op = superpose(inst.h, list(ops))
-            memo[key] = (op, InterpolantNode(tuple(ordered), base=False, children=nodes))
-    op, node = memo[full]
-    return BPResult(op, node)
+    def build(key: frozenset[int]) -> tuple[Operation, InterpolantNode]:
+        if key not in memo:
+            ordered = tuple(sorted(key))
+            if len(key) < d:
+                # With fewer than d blocks the base interpolant covers them all.
+                memo[key] = (inst.base_interpolants[key], InterpolantNode(ordered, base=True))
+            else:
+                # Drop one block at a time; the first d children feed h.
+                ops, children = zip(*(build(key - {ordered[i]}) for i in range(d)))
+                memo[key] = (superpose(inst.h, list(ops)),
+                             InterpolantNode(ordered, base=False, children=children))
+        return memo[key]
+
+    return BPResult(*build(frozenset(range(nblocks))))
 
 
 class NUClosureReport(namedtuple("NUClosureReport", "holds nu_op extras checked")):

@@ -489,10 +489,11 @@ def preservation_witness_to_json(
 
 def preservation_witness_from_json(data: dict, op: Operation):
     """(operation, relation, rows, image) of a payload, read over op's universe."""
-    rel = relation_from_json(data["relation"], op.universe)
+    rel = relation_from_json(object_from_json(data["relation"], "relation"), op.universe)
     rows = tuple(table_from_json(r, "witness row") for r in data["rows"])
     image = table_from_json(data["image"], "witness image")
-    return operation_from_json(data["operation"], op.universe), rel, rows, image
+    cert_op = operation_from_json(object_from_json(data["operation"], "operation"), op.universe)
+    return cert_op, rel, rows, image
 
 
 def recheck_preservation_witness(decoded, op: Operation) -> str | None:
@@ -521,20 +522,26 @@ def subfamilies(nblocks: int, max_size: int):
         yield from map(frozenset, itertools.combinations(range(nblocks), size))
 
 
+def subfamily_count(nblocks: int, max_size: int, limit: int) -> int:
+    """The number of subfamilies(nblocks, max_size), counted without
+    listing them. The running total of binomials stops once it passes
+    limit, so a large max_size costs a few terms."""
+    count = 0
+    for size in range(min(max_size, nblocks) + 1):
+        count += math.comb(nblocks, size)
+        if count > limit:
+            break
+    return count
+
+
 def is_subfamily_key_set(keys, nblocks: int, max_size: int) -> bool:
     """True iff the distinct keys (a dict's, say) are exactly the
     subfamilies(nblocks, max_size), decided without listing them.
 
     Distinct keys that are each a subfamily are all of them iff there are
-    as many. The running total of binomials stops once it passes the key
-    count, so repeated blocks and a large max_size cost a few terms.
+    as many.
     """
-    expected = 0
-    for size in range(min(max_size, nblocks) + 1):
-        expected += math.comb(nblocks, size)
-        if expected > len(keys):
-            return False
-    if expected != len(keys):
+    if subfamily_count(nblocks, max_size, len(keys)) != len(keys):
         return False
     return all(
         isinstance(key, frozenset)

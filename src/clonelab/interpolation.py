@@ -1,9 +1,15 @@
 """Pointwise interpolation and the induced closure at finite scale.
 
 An operation f is s-interpolable by a fragment when every subset S of its
-domain with |S| <= s admits a member agreeing with f on S. Enumerating
-only subsets of maximal size min(s, |domain|) is sound: agreement on a
-set restricts to agreement on its subsets.
+domain with |S| <= s admits a member agreeing with f on S; over a cover,
+the same test asks it of every union of at most s blocks. One scan,
+first_failing_subfamily, decides both: interp is its all-singletons
+cover, and `ultralocal` calls it for every cover it tests. It reads only
+the subfamilies of exactly min(s, #blocks) blocks, in
+itertools.combinations order: every smaller subfamily lies inside one of
+them, and agreement on a union restricts to its parts. The first failing
+one is the lexicographically least failing set of that size, interp's
+witness.
 
 Closure membership for a bound kappa quantifies over all s < kappa. Since
 interpolability is antitone in s, checking the single largest s decides
@@ -56,38 +62,61 @@ def agreement_mask(f: Operation, t: Operation) -> int:
     return mask
 
 
+def top_subfamilies(nblocks: int, lam: int):
+    """The first SUBSET_CAP sets of exactly min(lam, nblocks) of the
+    blocks range(nblocks), as index tuples in itertools.combinations order."""
+    return itertools.islice(itertools.combinations(range(nblocks), min(lam, nblocks)), SUBSET_CAP)
+
+
+def first_failing_subfamily(block_masks, masks, lam: int, combos=None, failing=None,
+                            blocks: str = "cover blocks"):
+    """The first of top_subfamilies(#blocks, lam) whose union of
+    block_masks lies inside no agreement mask, or None.
+
+    A caller testing many covers passes combos, its listing of those for
+    this block count, and failing, the set of unions known to fail, which
+    the scan reads first and adds to. When there are more than SUBSET_CAP
+    and none of those scanned failed, ResourceCapExceeded says how many,
+    naming the blocks.
+    """
+    if combos is None:
+        combos = top_subfamilies(len(block_masks), lam)
+    if failing is None:
+        failing = set()
+    for combo in combos:
+        union = 0
+        for b in combo:
+            union |= block_masks[b]
+        if union in failing or not any(union & ~mask == 0 for mask in masks):
+            failing.add(union)
+            return combo
+    nblocks = len(block_masks)
+    size = min(lam, nblocks)
+    total = math.comb(nblocks, size)
+    if total > SUBSET_CAP:
+        raise ResourceCapExceeded(
+            f"subset cap {SUBSET_CAP} reached: scanned {SUBSET_CAP} of the {total} "
+            f"subsets of {size} of the {nblocks} {blocks}, none failing"
+        )
+    return None
+
+
 def is_lambda_interpolable(query: InterpolationQuery) -> InterpolationVerdict:
-    """Decide interpolability on all subsets of size min(lam, |domain|).
+    """The scan on the all-singletons cover of the target's domain.
 
     The witness, when present, is the lexicographically least failing
-    subset of domain points. At size 0 the one subset is the empty set,
-    which fails exactly when the target's arity layer has no members.
-    At most SUBSET_CAP subsets are scanned; past that, the scan stops
-    with ResourceCapExceeded.
+    subset of min(lam, |domain|) domain points. At size 0 the one subset
+    is the empty set, which fails exactly when the target's arity layer
+    has no members.
     """
     target = query.target
-    n = target.arity
-    domain = list(target.universe.tuples(n))
-    size = min(query.lam, len(domain))
-    masks = [
-        agreement_mask(target, t) for t in query.fragment.members[n]
-    ]
-    combos = itertools.combinations(range(len(domain)), size)
-    for combo in itertools.islice(combos, SUBSET_CAP):
-        s_mask = 0
-        for idx in combo:
-            s_mask |= 1 << idx
-        if not any(s_mask & ~m == 0 for m in masks):
-            return InterpolationVerdict(
-                False, tuple(domain[idx] for idx in combo)
-            )
-    if next(combos, None) is not None:
-        raise ResourceCapExceeded(
-            f"subset cap {SUBSET_CAP} reached: scanned {SUBSET_CAP} of the "
-            f"{math.comb(len(domain), size)} subsets of {size} of the {len(domain)} "
-            f"domain points, none failing"
-        )
-    return InterpolationVerdict(True, None)
+    masks = [agreement_mask(target, t) for t in query.fragment.members[target.arity]]
+    singletons = [1 << i for i in range(len(target.table))]
+    combo = first_failing_subfamily(singletons, masks, query.lam, blocks="domain points")
+    if combo is None:
+        return InterpolationVerdict(True, None)
+    domain = list(target.universe.tuples(target.arity))
+    return InterpolationVerdict(False, tuple(domain[i] for i in combo))
 
 
 def _max_lambda(kappa, domain_size: int) -> int:

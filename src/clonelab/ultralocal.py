@@ -11,16 +11,15 @@ form a partition.
 
 A Cover's blocks are sets of domain indices (table positions, as the
 dagger payload stores them), and first_disagreement is the one agreement
-check for dagger certificates and near-unanimity base interpolants. One
-kernel (_CoverKernel) tests candidate covers for search_dagger, under all
-three strategies, and for check_dagger. Within one call it remembers, for
-each union bitmask of blocks, the first member whose agreement mask
-contains it, so a union met in an earlier partition is looked up rather
-than rescanned. It also keeps, per block count, the subfamilies listed so
-far, so they are listed once and only as far as a cover reads them. The
-exhaustive walk updates one list of block masks in place. Both
-enumerations are capped (PARTITION_CAP partitions, SUBFAMILY_CAP
-subfamilies per block count), and verify_dagger_certificate counts a
+check for dagger certificates and near-unanimity base interpolants.
+Every cover that check_dagger and the three strategies of search_dagger
+test goes through interpolation.first_failing_subfamily, the scan that
+also decides interpolability, which reads only the subfamilies of exactly
+min(lam, #blocks) blocks. Only a passing cover lists all its subfamilies
+of at most lam blocks, for its certificate, and it counts them first.
+The partitions walked (PARTITION_CAP), the subfamilies one cover test
+scans (interpolation.SUBSET_CAP) and those a certificate lists
+(SUBFAMILY_CAP) are capped; verify_dagger_certificate counts a
 certificate's keys instead of listing the subfamilies they must be.
 
 The dual formulation tracks, for each member t, the set of lam-column
@@ -36,7 +35,8 @@ The closure the cover condition induces is the local closure of
 holds exactly when f is lam-interpolable: the all-singletons cover turns
 interpolability into a certificate, and conversely any lam points lie in
 at most lam blocks of a witnessing cover, whose interpolant agrees with f
-on all of them. `ultra_closure_fragment` therefore calls that kernel.
+on all of them. `ultra_closure_fragment` therefore calls
+`interpolation.local_closure_fragment`.
 """
 
 from __future__ import annotations
@@ -53,10 +53,14 @@ from .finite_core import (
     is_subfamily_key_set,
     object_from_json,
     parse_subset_key,
+    subfamilies,
+    subfamily_count,
     subset_key,
     table_from_json,
 )
-from .interpolation import agreement_mask, local_closure_fragment
+from .interpolation import (
+    agreement_mask, first_failing_subfamily, local_closure_fragment, top_subfamilies,
+)
 
 PARTITION_CAP = 1 << 20
 SUBFAMILY_CAP = 1 << 18
@@ -132,96 +136,39 @@ def check_dagger(
     f: Operation, fragment: CloneFragment, lam: int, cover: Cover
 ) -> DaggerCertificate | DaggerFailure:
     """Check one candidate cover. Every subfamily of at most lam blocks
-    must admit a member agreeing with f on its union; the first member in
-    fragment order is recorded, and on failure the first failing
-    subfamily (by size, then lexicographically) is reported."""
+    must admit a member agreeing with f on its union, which holds when
+    every subfamily of exactly min(lam, #blocks) blocks does. On failure
+    the first failing one of that size, in itertools.combinations order,
+    is reported; a passing cover's certificate records the first member
+    in fragment order for every subfamily of at most lam blocks."""
     if cover.universe != f.universe or cover.domain_arity != f.arity:
         raise ValueError("cover does not match the target's domain")
     members, masks = _members_and_masks(f, fragment, lam)
     block_masks = cover.block_masks()
-    kernel = _CoverKernel(masks, lam)
-    failing = kernel.first_failure(block_masks)
+    failing = first_failing_subfamily(block_masks, masks, lam)
     if failing is not None:
         return DaggerFailure(cover, lam, frozenset(failing))
-    return DaggerCertificate(cover, lam, kernel.interpolants(block_masks, members))
+    return DaggerCertificate(cover, lam, _interpolants(block_masks, masks, members, lam))
 
 
-class _CoverKernel:
-    """The cover test shared by every candidate cover of one search.
-
-    A cover passes when the union of every subfamily of at most lam
-    blocks lies inside some member's agreement mask. Two things outlive a
-    single cover: the index of the first agreeing member for each union
-    mask seen so far (None when no member agrees), and, per block count,
-    the subfamily index tuples listed so far, by size and then in
-    itertools.combinations order. A list grows only as far as some cover
-    has read it, so covers that fail early never list every subfamily.
-    """
-
-    __slots__ = ("masks", "lam", "first", "families")
-
-    def __init__(self, masks, lam: int):
-        self.masks = masks
-        self.lam = lam
-        self.first: dict[int, int | None] = {}
-        self.families: dict[int, tuple[list, object]] = {}
-
-    def _agreeing(self, union: int) -> int | None:
-        found = next((i for i, mask in enumerate(self.masks) if union & ~mask == 0), None)
-        self.first[union] = found
-        return found
-
-    def _listing(self, nblocks: int, listed: list, rest):
-        """Subfamilies of nblocks blocks past those listed, appended to
-        listed as they are read, up to the subfamily cap."""
-        for combo in itertools.islice(rest, SUBFAMILY_CAP - len(listed)):
-            listed.append(combo)
-            yield combo
-        if next(rest, None) is not None:
-            raise ResourceCapExceeded(
-                f"subfamily cap {SUBFAMILY_CAP} reached: listed {len(listed)} subfamilies "
-                f"of at most {self.lam} of {nblocks} cover blocks"
-            )
-
-    def _family(self, nblocks: int) -> tuple[list, object]:
-        sizes = range(min(self.lam, nblocks) + 1)
-        rest = itertools.chain.from_iterable(
-            itertools.combinations(range(nblocks), size) for size in sizes
+def _interpolants(block_masks, masks, members, lam: int) -> dict[frozenset[int], Operation]:
+    """The first agreeing member of every subfamily of at most lam blocks
+    of a cover that passed, in subfamilies order. They are counted against
+    SUBFAMILY_CAP before any is listed."""
+    nblocks = len(block_masks)
+    if subfamily_count(nblocks, lam, SUBFAMILY_CAP) > SUBFAMILY_CAP:
+        raise ResourceCapExceeded(
+            f"subfamily cap {SUBFAMILY_CAP} reached: a certificate on {nblocks} cover blocks "
+            f"at level {lam} needs more than {SUBFAMILY_CAP} subfamilies, counted before "
+            f"listing any"
         )
-        entry = self.families[nblocks] = ([], rest)
-        return entry
-
-    def first_failure(self, block_masks) -> tuple[int, ...] | None:
-        """The first subfamily (a tuple of block indices) whose union no
-        member agrees on, or None when the cover passes."""
-        first = self.first
-        nblocks = len(block_masks)
-        listed, rest = self.families.get(nblocks) or self._family(nblocks)
-        # the listed subfamilies, then (only when all of them pass) the rest
-        for combos in (listed, None):
-            if combos is None:
-                combos = self._listing(nblocks, listed, rest)
-            for combo in combos:
-                union = 0
-                for b in combo:
-                    union |= block_masks[b]
-                found = first.get(union, -1)
-                if found == -1:
-                    found = self._agreeing(union)
-                if found is None:
-                    return combo
-        return None
-
-    def interpolants(self, block_masks, members) -> dict[frozenset[int], Operation]:
-        """The interpolant of every subfamily of a cover that passed."""
-        listed = self.families[len(block_masks)][0]
-        found = {}
-        for combo in listed:
-            union = 0
-            for b in combo:
-                union |= block_masks[b]
-            found[frozenset(combo)] = members[self.first[union]]
-        return found
+    found = {}
+    for key in subfamilies(nblocks, lam):
+        union = 0
+        for b in key:
+            union |= block_masks[b]
+        found[key] = members[next(i for i, mask in enumerate(masks) if union & ~mask == 0)]
+    return found
 
 
 def _partitions(npoints: int, max_blocks: int):
@@ -285,12 +232,12 @@ def search_dagger(
     max_blocks = |domain| (complete for partition covers, which suffice);
     other strategies report "no certificate found" without deciding.
 
-    Every candidate goes through one _CoverKernel, which remembers the
-    first agreeing member of each union of blocks and lists each block
-    count's subfamilies once; the exhaustive walk updates one block list
-    in place. The walk visits at most PARTITION_CAP partitions, and at
-    most SUBFAMILY_CAP subfamilies are listed for one block count; past
-    either cap, ResourceCapExceeded says how far the search got.
+    Every candidate goes through interpolation.first_failing_subfamily.
+    The exhaustive walk updates one block list in place, lists each block
+    count's subfamilies once and keeps the unions known to fail; the
+    single-cover strategies stream the subfamilies. Past PARTITION_CAP
+    partitions, or any cap of the cover test, ResourceCapExceeded says
+    how far the search got.
     """
     members, masks = _members_and_masks(f, fragment, lam)
     npoints = len(f.table)
@@ -313,13 +260,19 @@ def search_dagger(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    kernel = _CoverKernel(masks, lam)
+    listings = {} if strategy == "exhaustive_partitions" else None
+    failing: set[int] = set()
     for block_masks in itertools.islice(candidates, PARTITION_CAP):
-        if kernel.first_failure(block_masks) is None:
+        combos = None
+        if listings is not None:
+            combos = listings.get(len(block_masks))
+            if combos is None:
+                combos = listings[len(block_masks)] = tuple(top_subfamilies(len(block_masks), lam))
+        if first_failing_subfamily(block_masks, masks, lam, combos, failing) is None:
             blocks = [[i for i in range(npoints) if mask >> i & 1] for mask in block_masks]
             cover = Cover(f.universe, f.arity, blocks)
-            certificate = DaggerCertificate(cover, lam, kernel.interpolants(block_masks, members))
-            return DaggerSearchOutcome(certificate, False, strategy)
+            interpolants = _interpolants(block_masks, masks, members, lam)
+            return DaggerSearchOutcome(DaggerCertificate(cover, lam, interpolants), False, strategy)
     if next(candidates, None) is not None:
         raise ResourceCapExceeded(
             f"partition cap {PARTITION_CAP} reached: visited {PARTITION_CAP} partitions "

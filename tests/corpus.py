@@ -21,8 +21,11 @@ can object, and verifies the result.
 Inputs are spelled out here in plain Python, never built by clonelab, and
 the corpus keeps digests only: what the outputs mean is checked by the
 other tests. Some error messages quote Python's own (JSON decoding, file
-errors), so the digests hold for the Python minor version that wrote them,
-3.11.
+errors); the digests hold under Python 3.10 to 3.13 alike. The module
+needs only the standard library, so each interpreter checks them without
+pytest:
+
+    python3.10 tests/corpus.py            # likewise python3.12, python3.13
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import random
 import time
 
 from clonelab import cli
-from clonelab.clone_engine import CloneFragment, fragments_equal, generate
+from clonelab.clone_engine import fragments_equal, generate
 from clonelab.finite_core import (
     Operation,
     Universe,
@@ -30,7 +30,6 @@ from clonelab.structure_detect import (
     decompose_product,
     goldstern_shelah_member,
     product_operation,
-    star_operation,
 )
 from clonelab.symbolic_perms import (
     FinSuppPermutation,
@@ -43,6 +42,7 @@ from clonelab.symbolic_perms import (
 from clonelab.ultralocal import search_dagger, ultra_closure_fragment
 from fip_oracle import equalizer_family, fip_holds, fip_holds_lazy
 from point_covers import point_cover
+from product_oracles import commutes_with_band, product_clone
 
 
 U2 = Universe(2)
@@ -144,27 +144,12 @@ def test_criterion_03_essential_unarity_and_pp_formula():
     _passline(3, f"{checked} operations, zero mismatches; formula defines the 4-ary relation", started)
 
 
-def _commutes_with_band(pu, f):
-    star = star_operation(pu)
-    n = f.arity
-    paired = pu.paired
-    for us in paired.tuples(n):
-        fu = f.table[f.index_of(us)]
-        for vs in paired.tuples(n):
-            mixed = tuple(star.table[star.index_of((u, v))] for u, v in zip(us, vs))
-            if f.table[f.index_of(mixed)] != star.table[
-                star.index_of((fu, f.table[f.index_of(vs)]))
-            ]:
-                return False
-    return True
-
-
 def test_criterion_04_product_detection():
     started = time.time()
     pu = ProductUniverse(U2, U2)
     for op in all_operations(pu.paired, 1):
         split = decompose_product(pu, op)
-        assert bool(split) == _commutes_with_band(pu, op)
+        assert bool(split) == commutes_with_band(pu, op)
         if split:
             recomposed = product_operation(pu, split.factor_left, split.factor_right)
             assert recomposed.table == op.table
@@ -182,7 +167,7 @@ def test_criterion_04_product_detection():
             h = Operation(U3, 2, tuple(rng.randrange(3) for _ in range(9)))
             f = product_operation(pu23, g, h)
         split = decompose_product(pu23, f)
-        assert bool(split) == _commutes_with_band(pu23, f)
+        assert bool(split) == commutes_with_band(pu23, f)
         if split:
             recomposed = product_operation(pu23, split.factor_left, split.factor_right)
             assert recomposed.table == f.table
@@ -235,21 +220,13 @@ def test_criterion_05_near_unanimity_closure_and_interpolants():
     _passline(5, "closure fixes the majority fragment; 50/50 interpolants exact", started)
 
 
-def _product_clone(P, Q, bound):
-    """Arity-j members: the products of an arity-j member of P with one of Q."""
-    pu = ProductUniverse(P.universe, Q.universe)
-    members = {j: tuple(product_operation(pu, g, h) for g in P.members[j] for h in Q.members[j])
-               for j in range(1, bound + 1)}
-    return CloneFragment.from_members(pu.paired, bound, members)
-
-
 def test_criterion_06_product_closure_commutation():
     started = time.time()
     neg = operation_from_callable(U2, 1, lambda a: 1 - a)
     factors = [generate([], 1, universe=U2), generate([neg], 1)]
     for P, Q in itertools.product(factors, repeat=2):
-        closed_product = local_closure_fragment(_product_clone(P, Q, 1), 4, 1)
-        product_of_closed = _product_clone(
+        closed_product = local_closure_fragment(product_clone(P, Q, 1), 4, 1)
+        product_of_closed = product_clone(
             local_closure_fragment(P, 4, 1), local_closure_fragment(Q, 4, 1), 1
         )
         assert fragments_equal(closed_product, product_of_closed)

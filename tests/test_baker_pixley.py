@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from clonelab import baker_pixley
 from clonelab.baker_pixley import (
     BPInstance,
     InterpolantNode,
@@ -14,7 +15,7 @@ from clonelab.baker_pixley import (
     recheck_bp_tree,
 )
 from clonelab.clone_engine import contains, generate, inv
-from clonelab.finite_core import Operation, all_operations, preserves
+from clonelab.finite_core import Operation, all_operations, preserves, superpose
 from clonelab.ultralocal import Cover
 from point_covers import point_cover
 
@@ -101,6 +102,24 @@ def test_tree_structure(u2, gates):
             walk(child)
 
     walk(tree)
+
+
+def test_the_build_composes_only_the_subfamilies_the_tree_reaches(u2, gates, monkeypatch):
+    # Of the 99 subfamilies of at least 3 of 7 blocks, the tree reaches 35.
+    maj = gates["maj"]
+    cover = Cover(u2, 3, [[0, 1], [2], [3], [4], [5], [6], [7]])
+    f = Operation(u2, 3, (0, 1, 1, 0, 1, 0, 0, 1))
+    inst = synthetic_instance(u2, f, maj, cover, random.Random(9))
+    composed = []
+
+    def counting(h, ops):
+        composed.append(h)
+        return superpose(h, ops)
+
+    monkeypatch.setattr(baker_pixley, "superpose", counting)
+    result = bp_interpolate(inst)
+    assert result.operation == f
+    assert len(composed) == 35
 
 
 def test_bp_tree_json_round_trip_rechecks(u2, gates):

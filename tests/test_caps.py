@@ -158,10 +158,40 @@ def cap_constants():
                 yield info.name, name, value
 
 
+def global_names(code) -> set:
+    """The global and attribute names a code object reads, nested code
+    (generator expressions, inner functions) included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= global_names(const)
+    return names
+
+
+def reads_cap(module, name, cap, seen=frozenset()) -> bool:
+    """True iff the module's function name reads cap, itself or through
+    the functions of the same module that it calls."""
+    names = global_names(getattr(module, name).__code__)
+    return cap in names or any(
+        reads_cap(module, other, cap, seen | {name})
+        for other in names - seen - {name}
+        if inspect.isfunction(getattr(module, other, None))
+        and getattr(module, other).__module__ == module.__name__
+    )
+
+
 def test_every_cap_constant_has_a_row_in_the_readme_caps_table():
-    rows = re.findall(r"^\| `(\w+)` = ([\d^]+) \| `(\w+)` \|", README.read_text(), re.M)
+    rows = re.findall(r"^\| `(\w+)` = ([\d^]+) \| `(\w+)` \| (.*) \|$", README.read_text(), re.M)
     table = {
         (module, name, 2 ** int(value[2:]) if value.startswith("2^") else int(value))
-        for name, value, module in rows
+        for name, value, module, _ in rows
     }
     assert table == set(cap_constants())
+    # Each row says what the cap bounds by naming a function that reads it.
+    for name, _, module_name, bounds in rows:
+        module = importlib.import_module(f"clonelab.{module_name}")
+        named = [
+            fn for fn in re.findall(r"`(\w+)`", bounds)
+            if inspect.isfunction(getattr(module, fn, None))
+        ]
+        assert any(reads_cap(module, fn, name) for fn in named), (name, bounds)

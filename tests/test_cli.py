@@ -980,11 +980,42 @@ def test_caps_in_the_cover_search_and_the_subset_scan_exit_2(workdir, monkeypatc
     assert code == 2 and result["error"] == {"type": "resource_cap", "message": (
         "partition cap 3 reached: visited 3 partitions of 4 domain points "
         "into at most 4 blocks, none passing at level 2")}
+    # interp and every cover test stop at the same scan's cap
     monkeypatch.setattr(interpolation, "SUBSET_CAP", 1)
-    code, result, _ = invoke(["interp", "--target", workdir["and"], "--fragment",
-                              workdir["nandfrag"], "--lambda", "2"])
-    assert code == 2 and result["error"]["type"] == "resource_cap"
-    assert result["error"]["message"].startswith("subset cap 1 reached: scanned 1 of the 6")
+    query = ["--target", workdir["and"], "--fragment", workdir["nandfrag"], "--lambda", "2"]
+    code, result, _ = invoke(["interp", *query])
+    assert code == 2 and result["error"] == {"type": "resource_cap", "message": (
+        "subset cap 1 reached: scanned 1 of the 6 subsets of 2 of the 4 domain points, "
+        "none failing")}
+    code, result, _ = invoke(["ultra", *query, "--strategy", "singletons"])
+    assert code == 2 and result["error"] == {"type": "resource_cap", "message": (
+        "subset cap 1 reached: scanned 1 of the 6 subsets of 2 of the 4 cover blocks, "
+        "none failing")}
+    # a passing cover counts its certificate's 11 subfamilies first
+    monkeypatch.setattr(interpolation, "SUBSET_CAP", 6)
+    monkeypatch.setattr(ultralocal, "SUBFAMILY_CAP", 10)
+    code, result, _ = invoke(["ultra", *query, "--strategy", "singletons"])
+    assert code == 2 and result["error"] == {"type": "resource_cap", "message": (
+        "subfamily cap 10 reached: a certificate on 4 cover blocks at level 2 needs "
+        "more than 10 subfamilies, counted before listing any")}
+
+
+def test_a_certificate_of_2_to_the_27_subfamilies_is_refused_before_listing_any(
+        tmp_path, monkeypatch):
+    # A 27-point member passes every cover test at level 26; its certificate
+    # on the singleton cover would list 2**27 - 1 subfamilies.
+    u3_gens = write_json(tmp_path, "gens.json", {"universe": {"size": 3}, "operations": []})
+    frag = str(tmp_path / "frag.json")
+    invoke(["gen", "--generators", u3_gens, "--arity-bound", "3", "--out", frag])
+    target = write_json(tmp_path, "t.json", {"arity": 3, "table": [i // 9 for i in range(27)]})
+    monkeypatch.setattr(ultralocal, "SUBFAMILY_CAP", 1 << 26)
+    started = time.perf_counter()
+    code, result, _ = invoke(["ultra", "--target", target, "--fragment", frag,
+                              "--strategy", "singletons", "--lambda", "26"])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (2, {"error": {"type": "resource_cap", "message": (
+        "subfamily cap 67108864 reached: a certificate on 27 cover blocks at level 26 "
+        "needs more than 67108864 subfamilies, counted before listing any")}})
 
 
 def test_ess_unary_on_a_12_ary_projection_exits_2_at_the_matrix_cap(tmp_path):

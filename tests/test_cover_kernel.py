@@ -2,12 +2,15 @@
 
 The oracle restates the search in the plainest terms: partitions are
 lists of point sets built in restricted-growth-string order, each
-partition's subfamilies are taken by size and then lexicographically, and
-each subfamily takes the first member, in fragment order, that agrees
-with the target on its union. `search_dagger` must return exactly the
-oracle's outcome (cover block order, every interpolant, the disproof flag
-and the strategy), and `check_dagger` the oracle's verdict on one cover,
-including the failing subfamily it reports.
+partition's subfamilies of at most lam blocks are all checked, by size
+and then lexicographically, and each subfamily takes the first member, in
+fragment order, that agrees with the target on its union. `search_dagger`
+must return exactly the oracle's outcome (cover block order, every
+interpolant, the disproof flag and the strategy). The scan that
+`check_dagger` and the search share reads only the subfamilies of exactly
+min(lam, #blocks) blocks: it must pass exactly the covers the oracle
+passes, and `check_dagger` must report the least failing subfamily of
+that size, found by brute force.
 """
 
 import itertools
@@ -17,6 +20,7 @@ import pytest
 
 from clonelab.clone_engine import generate
 from clonelab.finite_core import Operation, Universe, all_operations, operation_from_callable
+from clonelab.interpolation import agreement_mask, first_failing_subfamily
 from clonelab.ultralocal import (
     DaggerCertificate,
     DaggerFailure,
@@ -190,28 +194,58 @@ def random_cover(universe, arity, rng):
     return [b for b in blocks if b]
 
 
-def test_check_dagger_matches_oracle_on_random_covers(gates):
+def least_top_size_failure(agreement, lam, blocks):
+    """The lexicographically least set of exactly min(lam, #blocks) block
+    indices whose union no member agrees on, or None."""
+    failing = [
+        combo for combo in itertools.combinations(range(len(blocks)), min(lam, len(blocks)))
+        if not any(set().union(*(blocks[b] for b in combo)) <= points for _, points in agreement)
+    ]
+    return frozenset(min(failing)) if failing else None
+
+
+def random_cover_cases(gates):
+    """(fragment, target, cover blocks) over U2 and U3, 40 per fragment."""
     rng = random.Random(3)
     cases = [(fragment, U2, 2) for fragment in u2_fragments(gates)]
     cases += [(fragment, U3, 2) for fragment in u3_fragments()]
-    failures = 0
     for fragment, universe, arity in cases:
-        members = fragment.members[arity]
         for _ in range(40):
             f = Operation(universe, arity, tuple(
                 rng.randrange(universe.size) for _ in range(universe.size ** arity)
             ))
-            agreement = agreement_sets(f, members)
-            blocks = random_cover(universe, arity, rng)
-            cover = point_cover(universe, arity, blocks)
-            for lam in range(4):
-                interpolants, failing = oracle_check(agreement, lam, blocks)
-                result = check_dagger(f, fragment, lam, cover)
-                if failing is None:
-                    assert result == DaggerCertificate(cover, lam, interpolants)
-                else:
-                    assert result == DaggerFailure(cover, lam, failing)
-                    failures += 1
+            yield fragment, f, random_cover(universe, arity, rng)
+
+
+def test_the_top_size_scan_passes_exactly_the_covers_the_oracle_passes(gates):
+    outcomes = set()
+    for fragment, f, blocks in random_cover_cases(gates):
+        members = fragment.members[f.arity]
+        agreement = agreement_sets(f, members)
+        block_masks = point_cover(f.universe, f.arity, blocks).block_masks()
+        masks = [agreement_mask(f, t) for t in members]
+        for lam in range(4):
+            _, failing = oracle_check(agreement, lam, blocks)
+            passes = first_failing_subfamily(block_masks, masks, lam) is None
+            assert passes == (failing is None), (f.table, blocks, lam)
+            outcomes.add(passes)
+    assert outcomes == {True, False}
+
+
+def test_check_dagger_matches_oracle_on_random_covers(gates):
+    failures = 0
+    for fragment, f, blocks in random_cover_cases(gates):
+        agreement = agreement_sets(f, fragment.members[f.arity])
+        cover = point_cover(f.universe, f.arity, blocks)
+        for lam in range(4):
+            interpolants, failing = oracle_check(agreement, lam, blocks)
+            result = check_dagger(f, fragment, lam, cover)
+            if failing is None:
+                assert result == DaggerCertificate(cover, lam, interpolants)
+            else:
+                least = least_top_size_failure(agreement, lam, blocks)
+                assert result == DaggerFailure(cover, lam, least)
+                failures += 1
     assert failures > 0
 
 

@@ -1,10 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from clonelab import interpolation
 from clonelab.clone_engine import contains, fragment_from_json, fragments_equal, generate, inv, pol
-from clonelab.finite_core import ResourceCapExceeded, all_operations, superpose
+from clonelab.finite_core import (
+    Operation,
+    ResourceCapExceeded,
+    all_operations,
+    operation_from_callable,
+    superpose,
+)
 from clonelab.interpolation import (
     OMEGA,
     InterpolationQuery,
@@ -13,6 +20,7 @@ from clonelab.interpolation import (
     local_closure_fragment,
     local_closure_membership,
 )
+from clonelab.ultralocal import Cover, DaggerCertificate, check_dagger
 
 
 def test_lambda_zero_always_holds(u2, gates):
@@ -161,9 +169,11 @@ def test_lambda_zero_fails_on_an_empty_layer(u2, gates):
 def test_subset_cap_stops_the_scan_and_says_how_far_it_got(u2, gates, monkeypatch):
     frag = generate([gates["and"]], 2)
     query = InterpolationQuery(gates["and"], frag, 2)
-    # C(4, 2) = 6 subsets, none failing
+    singletons = Cover(u2, 2, [[i] for i in range(4)])
+    # C(4, 2) = 6 subsets, none failing; a cover test scans the same 6
     monkeypatch.setattr(interpolation, "SUBSET_CAP", 6)
     assert is_lambda_interpolable(query).holds
+    assert isinstance(check_dagger(gates["and"], frag, 2, singletons), DaggerCertificate)
     monkeypatch.setattr(interpolation, "SUBSET_CAP", 5)
     with pytest.raises(ResourceCapExceeded) as caught:
         is_lambda_interpolable(query)
@@ -171,6 +181,42 @@ def test_subset_cap_stops_the_scan_and_says_how_far_it_got(u2, gates, monkeypatc
         "subset cap 5 reached: scanned 5 of the 6 subsets of 2 of the 4 domain points, "
         "none failing"
     )
+    with pytest.raises(ResourceCapExceeded) as caught:
+        check_dagger(gates["and"], frag, 2, singletons)
+    assert str(caught.value) == (
+        "subset cap 5 reached: scanned 5 of the 6 subsets of 2 of the 4 cover blocks, "
+        "none failing"
+    )
+
+
+def least_failing_subset(f, fragment, lam):
+    """Brute force: every set of min(lam, |domain|) domain points on
+    which no member agrees with f, and the least of them, or None."""
+    points = sorted(f.universe.tuples(f.arity))
+    failing = [
+        subset for subset in itertools.combinations(points, min(lam, len(points)))
+        if not any(all(t(*p) == f(*p) for p in subset) for t in fragment.members[f.arity])
+    ]
+    return min(failing) if failing else None
+
+
+def test_the_witness_is_the_least_failing_subset_of_a_brute_force_oracle(u2, u3, gates):
+    rng = random.Random(20)
+    cases = [(generate([gates[g]], 2), u2) for g in ("and", "xor", "nand")]
+    cases.append((generate([], 2, universe=u2), u2))
+    cases += [(generate([operation_from_callable(u3, 2, min)], 2), u3),
+              (generate([Operation(u3, 2, (0, 1, 0, 0, 1, 2, 2, 1, 0))], 2), u3)]
+    seen = set()
+    for fragment, universe in cases:
+        for _ in range(6):
+            table = tuple(rng.randrange(universe.size) for _ in range(universe.size ** 2))
+            f = Operation(universe, 2, table)
+            for lam in range(5):
+                verdict = is_lambda_interpolable(InterpolationQuery(f, fragment, lam))
+                assert verdict.witness == least_failing_subset(f, fragment, lam), (f.table, lam)
+                assert verdict.holds == (verdict.witness is None)
+                seen.add(verdict.holds)
+    assert seen == {True, False}
 
 
 def test_a_witness_inside_the_subset_cap_is_unchanged(u2, gates, monkeypatch):

@@ -21,7 +21,7 @@ KEPT = {
     "clone_engine.fragments_equal": "equality of fragments by member tables",
     "symbolic_perms.from_cycles": "builder of permutations in cycle notation",
     "symbolic_perms.inverse": "the group inverse of a permutation",
-    "ultralocal.check_dagger": "the per-cover view of the cover kernel",
+    "ultralocal.check_dagger": "the per-cover view of the one cover scan",
 }
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clonelab.clone_engine import CloneFragment, fragments_equal, generate, pol
+from clonelab.clone_engine import fragments_equal, generate, pol
 from clonelab.finite_core import (
     Operation,
     Universe,
@@ -28,23 +28,7 @@ from clonelab.structure_detect import (
     star_operation,
 )
 from clonelab.ultralocal import ultra_closure_fragment
-
-
-def commutes_with_star_direct(pu, f):
-    """Independent oracle: check the commutation identity over all pairs
-    of argument tuples, with the band operation applied entrywise."""
-    star = star_operation(pu)
-    paired = pu.paired
-    n = f.arity
-    for us in paired.tuples(n):
-        fu = f.table[f.index_of(us)]
-        for vs in paired.tuples(n):
-            mixed = tuple(star.table[star.index_of((u, v))] for u, v in zip(us, vs))
-            lhs = f.table[f.index_of(mixed)]
-            rhs = star.table[star.index_of((fu, f.table[f.index_of(vs)]))]
-            if lhs != rhs:
-                return False
-    return True
+from product_oracles import commutes_with_band, product_clone
 
 
 def zmod(n):
@@ -159,17 +143,9 @@ def test_decomposition_matches_band_graph_exhaustive(u2):
     rel = gamma_star(pu)
     for op in all_operations(pu.paired, 1):
         a = preserves(op, rel)
-        b = commutes_with_star_direct(pu, op)
+        b = commutes_with_band(pu, op)
         c = bool(decompose_product(pu, op))
         assert a == b == c
-
-
-def product_clone(P, Q, bound):
-    """Arity-j members: the products of an arity-j member of P with one of Q."""
-    pu = ProductUniverse(P.universe, Q.universe)
-    members = {j: tuple(product_operation(pu, g, h) for g in P.members[j] for h in Q.members[j])
-               for j in range(1, bound + 1)}
-    return CloneFragment.from_members(pu.paired, bound, members)
 
 
 @pytest.mark.parametrize(

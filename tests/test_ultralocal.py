@@ -334,13 +334,19 @@ def test_subfamily_cap_stops_the_cover_test(u2, gates, monkeypatch):
     assert search_dagger(gates["and"], frag, 2, "singletons")
     assert isinstance(check_dagger(gates["and"], frag, 2, cover), DaggerCertificate)
     monkeypatch.setattr(ultralocal, "SUBFAMILY_CAP", 10)
-    message = "subfamily cap 10 reached: listed 10 subfamilies of at most 2 of 4 cover blocks"
+    # the count comes before any subfamily is listed
+    monkeypatch.setattr(ultralocal, "subfamilies", None)
+    message = ("subfamily cap 10 reached: a certificate on 4 cover blocks at level 2 needs "
+               "more than 10 subfamilies, counted before listing any")
     with pytest.raises(ResourceCapExceeded) as caught:
         search_dagger(gates["and"], frag, 2, "singletons")
     assert str(caught.value) == message
     with pytest.raises(ResourceCapExceeded) as caught:
         check_dagger(gates["and"], frag, 2, cover)
     assert str(caught.value) == message
+    # the cap bounds certificates only: a failing cover still answers
+    failure = check_dagger(gates["xor"], frag, 2, cover)
+    assert failure == DaggerFailure(cover, 2, frozenset({0, 3}))
 
 
 def test_verify_counts_subfamily_keys_instead_of_listing_them(u3):
