@@ -111,6 +111,8 @@ def generate(
     generators = tuple(generators)
     if arity_bound < 1:
         raise ValueError("arity bound must be >= 1")
+    if member_cap < 1:
+        raise ValueError("member cap must be >= 1")
     if universe is None:
         if not generators:
             raise ValueError("generate() with no generators needs an explicit universe")

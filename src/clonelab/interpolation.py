@@ -62,6 +62,12 @@ def agreement_mask(f: Operation, t: Operation) -> int:
     return mask
 
 
+def member_masks(query: InterpolationQuery):
+    """The members of the target's arity layer and their agreement masks."""
+    members = query.fragment.members[query.target.arity]
+    return members, [agreement_mask(query.target, t) for t in members]
+
+
 def top_subfamilies(nblocks: int, lam: int):
     """The first SUBSET_CAP sets of exactly min(lam, nblocks) of the
     blocks range(nblocks), as index tuples in itertools.combinations order."""
@@ -110,7 +116,7 @@ def is_lambda_interpolable(query: InterpolationQuery) -> InterpolationVerdict:
     has no members.
     """
     target = query.target
-    masks = [agreement_mask(target, t) for t in query.fragment.members[target.arity]]
+    _, masks = member_masks(query)
     singletons = [1 << i for i in range(len(target.table))]
     combo = first_failing_subfamily(singletons, masks, query.lam, blocks="domain points")
     if combo is None:

@@ -8,20 +8,25 @@ rebuilds f inside the ring span:
   1. check that the kernels of f - r_i, which contain the agreement
      sets, cover the space,
   2. translate by r_0 so the first interpolant is zero,
-  3. form t as a sum of maps s_i r_i, where each s_i carries the image of
-     r_i isomorphically onto a chosen independent target subspace; the
-     kernel of t is then contained in the kernel of f,
-  4. factor f = u t through t,
+  3. form t as a sum of maps s_i r_i: each s_i sends a greedy basis of
+     the image of r_i onto fresh standard vectors and kills the standard
+     vectors that complete that basis, so the kernel of t is contained in
+     the kernel of f,
+  4. factor f = u t through t: u sends the independent columns of t that
+     a greedy scan keeps to the matching columns of f and kills the
+     standard vectors that complete a basis,
   5. re-express u inside the ring span by solving a linear system on a
      basis of t's image.
 
-The final identity f = u t + r_0 is checked by exact matrix arithmetic.
+map_on_span builds each s_i and u with one row reduction. The final
+identity f = u t + r_0 is checked by exact matrix arithmetic.
 Every computation is over GF(q) with q at most 9; there is nothing
 approximate anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -40,133 +45,111 @@ class PipelineError(Exception):
         self.witness = witness
 
 
-def _factor_prime(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n == 1:
-                return p, k
-            break
-    raise ValueError(f"{q} is not a prime power")
-
-
-# reduction rules x^k -> lower-degree polynomial, little-endian coefficients
-_REDUCTIONS = {
-    4: (1, 1),      # x^2 = 1 + x      over GF(2)
-    8: (1, 1, 0),   # x^3 = 1 + x      over GF(2)
-    9: (2, 0),      # x^2 = 2          over GF(3)
+# The characteristic p, the degree k and the reduction rule x^k -> lower-degree
+# polynomial (little-endian coefficients) of each field order; a prime order
+# is degree 1, which needs no reduction rule.
+_FIELD_SPECS = {
+    2: (2, 1, ()), 3: (3, 1, ()), 5: (5, 1, ()), 7: (7, 1, ()),
+    4: (2, 2, (1, 1)),      # x^2 = 1 + x      over GF(2)
+    8: (2, 3, (1, 1, 0)),   # x^3 = 1 + x      over GF(2)
+    9: (3, 2, (2, 0)),      # x^2 = 2          over GF(3)
 }
 
 
-class FiniteField:
+def _digits(p: int, k: int, a: int) -> list[int]:
+    out = []
+    for _ in range(k):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _undigits(p: int, digits) -> int:
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
+
+
+def _poly_add(p: int, k: int, a: int, b: int) -> int:
+    da, db = _digits(p, k, a), _digits(p, k, b)
+    return _undigits(p, [(x + y) % p for x, y in zip(da, db)])
+
+
+def _poly_mul(p: int, k: int, a: int, b: int, reduction) -> int:
+    da, db = _digits(p, k, a), _digits(p, k, b)
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            conv[i + j] = (conv[i + j] + x * y) % p
+    # fold degrees >= k down through the reduction rule
+    for deg in range(len(conv) - 1, k - 1, -1):
+        c = conv[deg]
+        if c:
+            conv[deg] = 0
+            for i, r in enumerate(reduction):
+                conv[deg - k + i] = (conv[deg - k + i] + c * r) % p
+    return _undigits(p, conv[:k])
+
+
+def _verify_axioms(q: int, add_table, mul_table) -> None:
+    rng = range(q)
+    for a in rng:
+        if add_table[a][0] != a or mul_table[a][1] != a:
+            raise ValueError("identity axioms fail")
+        for b in rng:
+            if add_table[a][b] != add_table[b][a]:
+                raise ValueError("addition not commutative")
+            if mul_table[a][b] != mul_table[b][a]:
+                raise ValueError("multiplication not commutative")
+            for c in rng:
+                if add_table[add_table[a][b]][c] != add_table[a][add_table[b][c]]:
+                    raise ValueError("addition not associative")
+                if mul_table[mul_table[a][b]][c] != mul_table[a][mul_table[b][c]]:
+                    raise ValueError("multiplication not associative")
+                if mul_table[a][add_table[b][c]] != add_table[mul_table[a][b]][mul_table[a][c]]:
+                    raise ValueError("distributivity fails")
+
+
+class FiniteField(namedtuple("FiniteField", "order add_table mul_table neg_table inv_table")):
     """GF(q) for q a prime power at most 9, with explicit operation tables.
 
     Elements are the integers 0..q-1; for prime powers the base-p digits
     of an element are the coefficients of its polynomial representative.
-    The field axioms are verified exhaustively at construction, so a bad
-    reduction rule cannot slip through. The arithmetic below indexes the
-    tables directly: a + b is add_table[a][b], a * b is mul_table[a][b],
+    The tables are built from the order and checked against every field
+    axiom, so a bad reduction rule cannot slip through; tables passed in,
+    as a copy of the record passes them, must equal them. The arithmetic
+    indexes the tables: a + b is add_table[a][b], a * b is mul_table[a][b],
     -a is neg_table[a] and 1/a is inv_table[a] (None at zero).
     """
 
-    def __init__(self, order: int):
+    __slots__ = ()
+
+    def __new__(cls, order: int, *tables):
         if order < 2 or order > MAX_FIELD_ORDER:
             raise ValueError(
                 f"field order must be between 2 and {MAX_FIELD_ORDER}, got {order}"
             )
-        p, k = _factor_prime(order)
-        self.order = order
-        self.char = p
-        self.degree = k
-        # A prime order is degree 1, which needs no reduction rule.
-        reduction = _REDUCTIONS.get(order, ())
-        self.add_table = tuple(
-            tuple(self._poly_add(a, b) for b in range(order)) for a in range(order)
+        if order not in _FIELD_SPECS:
+            raise ValueError(f"{order} is not a prime power")
+        p, k, reduction = _FIELD_SPECS[order]
+        add_table = tuple(
+            tuple(_poly_add(p, k, a, b) for b in range(order)) for a in range(order)
         )
-        self.mul_table = tuple(
-            tuple(self._poly_mul(a, b, reduction) for b in range(order))
+        mul_table = tuple(
+            tuple(_poly_mul(p, k, a, b, reduction) for b in range(order))
             for a in range(order)
         )
-        self.neg_table = tuple(row.index(0) for row in self.add_table)
-        self.inv_table = (None,) + tuple(row.index(1) for row in self.mul_table[1:])
-        self._verify_axioms()
-
-    # -- digit/polynomial helpers --
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.degree):
-            out.append(a % self.char)
-            a //= self.char
-        return out
-
-    def _undigits(self, digits) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.char + d
-        return out
-
-    def _poly_add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.char for x, y in zip(da, db)])
-
-    def _poly_mul(self, a: int, b: int, reduction) -> int:
-        da, db = self._digits(a), self._digits(b)
-        conv = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                conv[i + j] = (conv[i + j] + x * y) % self.char
-        # fold degrees >= k down through the reduction rule
-        for deg in range(len(conv) - 1, self.degree - 1, -1):
-            c = conv[deg]
-            if c:
-                conv[deg] = 0
-                for i, r in enumerate(reduction):
-                    conv[deg - self.degree + i] = (
-                        conv[deg - self.degree + i] + c * r
-                    ) % self.char
-        return self._undigits(conv[: self.degree])
-
-    def _verify_axioms(self):
-        q = self.order
-        rng = range(q)
-        for a in rng:
-            if self.add_table[a][0] != a or self.mul_table[a][1] != a:
-                raise ValueError("identity axioms fail")
-            for b in rng:
-                if self.add_table[a][b] != self.add_table[b][a]:
-                    raise ValueError("addition not commutative")
-                if self.mul_table[a][b] != self.mul_table[b][a]:
-                    raise ValueError("multiplication not commutative")
-                for c in rng:
-                    if self.add_table[self.add_table[a][b]][c] != self.add_table[a][self.add_table[b][c]]:
-                        raise ValueError("addition not associative")
-                    if self.mul_table[self.mul_table[a][b]][c] != self.mul_table[a][self.mul_table[b][c]]:
-                        raise ValueError("multiplication not associative")
-                    if self.mul_table[a][self.add_table[b][c]] != self.add_table[self.mul_table[a][b]][self.mul_table[a][c]]:
-                        raise ValueError("distributivity fails")
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and self.order == other.order
-
-    def __hash__(self):
-        return hash(("FiniteField", self.order))
-
-    def __repr__(self):
-        return f"FiniteField({self.order})"
+        neg_table = tuple(row.index(0) for row in add_table)
+        inv_table = (None,) + tuple(row.index(1) for row in mul_table[1:])
+        _verify_axioms(order, add_table, mul_table)
+        built = (add_table, mul_table, neg_table, inv_table)
+        if tables and tables != built:
+            raise ValueError(f"tables are not those of GF({order})")
+        return tuple.__new__(cls, (order,) + built)
 
 
-_FIELD_CACHE: dict[int, FiniteField] = {}
-
-
-def field_of_order(q: int) -> FiniteField:
-    if q not in _FIELD_CACHE:
-        _FIELD_CACHE[q] = FiniteField(q)
-    return _FIELD_CACHE[q]
+field_of_order = functools.cache(FiniteField)
 
 
 # --- vectors and matrices ----------------------------------------------------
@@ -289,21 +272,17 @@ def rref(F: FiniteField, rows):
     return [tuple(row) for row in rows], pivots
 
 
-def rank_of_vectors(F: FiniteField, vectors) -> int:
-    return len(rref(F, list(vectors))[1])
-
-
 def pivot_columns(F: FiniteField, vectors) -> list[int]:
     """Indices of the vectors a greedy scan in order keeps as independent:
     the pivot columns of the matrix whose columns are the vectors."""
     return rref(F, list(zip(*vectors)))[1]
 
 
-def kernel_basis(t: LinearMap):
-    """Basis of the null space, from the RREF free columns."""
-    neg = t.field.neg_table
-    n = t.dim
-    reduced, pivots = rref(t.field, t.rows)
+def kernel_basis(F: FiniteField, rows):
+    """Basis of the null space of the rows, from the RREF free columns."""
+    neg = F.neg_table
+    n = len(rows[0])
+    reduced, pivots = rref(F, rows)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
@@ -338,37 +317,19 @@ def solve(F: FiniteField, rows, rhs):
     return tuple(x)
 
 
-def invert_matrix(F: FiniteField, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    augmented = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    reduced, pivots = rref(F, augmented)
-    if pivots[:n] != list(range(n)):
-        return None
-    return tuple(tuple(reduced[i][n:]) for i in range(n))
-
-
-def map_from_basis_images(F: FiniteField, basis, images, dim: int) -> LinearMap:
-    """The unique linear map sending each basis vector to its image and
-    determined by those values (basis must have full length dim)."""
-    if len(basis) != dim:
-        raise ValueError("need a full basis to determine a map")
-    P = tuple(tuple(basis[j][i] for j in range(dim)) for i in range(dim))
-    P_inv = invert_matrix(F, P)
-    if P_inv is None:
-        raise ValueError("basis vectors are dependent")
-    Q = tuple(tuple(images[j][i] for j in range(dim)) for i in range(dim))
-    return LinearMap(F, Q).compose(LinearMap(F, P_inv))
-
-
-def extend_to_basis(F: FiniteField, vectors, dim: int):
-    """Extend an independent family by standard vectors to a full basis,
-    taking each standard vector that is independent of those before it."""
+def map_on_span(F: FiniteField, vectors, images, dim: int) -> LinearMap:
+    """The map M sending each of the independent vectors to its image and
+    killing each standard vector that a greedy scan after them keeps to
+    complete a basis. With the basis vectors as the rows of B and their
+    images as the rows of Y, B M^T = Y, so row reducing [B | Y] once
+    leaves [I | M^T]."""
     candidates = list(vectors) + standard_basis(dim)
     pivots = pivot_columns(F, candidates)
     if pivots[:len(vectors)] != list(range(len(vectors))):
-        raise ValueError("could not extend to a basis")
-    return [candidates[c] for c in pivots]
+        raise ValueError("vectors are dependent")
+    padded = list(images) + [zero_vector(dim)] * dim
+    reduced, _ = rref(F, [tuple(candidates[c]) + tuple(padded[c]) for c in pivots])
+    return LinearMap(F, tuple(zip(*(row[dim:] for row in reduced))))
 
 
 def all_vectors(F: FiniteField, dim: int):
@@ -452,28 +413,22 @@ def carried_sum(F: FiniteField, dim: int, interpolants) -> LinearMap:
     for r_i, w_basis in zip(interpolants, image_bases):
         targets = basis_pool[cursor:cursor + len(w_basis)]
         cursor += len(w_basis)
-        full = extend_to_basis(F, w_basis, dim)
-        images = targets + [zero_vector(dim)] * (dim - len(w_basis))
-        t = t + map_from_basis_images(F, full, images, dim).compose(r_i)
+        t = t + map_on_span(F, w_basis, targets, dim).compose(r_i)
     return t
 
 
 def factor_through(t: LinearMap, f: LinearMap) -> LinearMap:
     """A map u with u t = f, which exists iff ker(t) <= ker(f).
 
-    u is pinned on a basis of t's image by u(t(e_j)) = f(e_j) and
-    extended by zero on a complement; the identity u t = f is verified
-    exactly before returning, so a kernel that f does not contain fails
-    here.
+    u sends each column t(e_j) that a greedy scan keeps to the column
+    f(e_j) and kills the standard vectors that complete a basis; u t = f
+    is verified exactly before returning, so a kernel that f does not
+    contain fails here.
     """
     F = t.field
-    dim = t.dim
-    basis = standard_basis(dim)
-    columns = [t.apply(e) for e in basis]
+    columns, f_columns = list(zip(*t.rows)), list(zip(*f.rows))
     pivots = pivot_columns(F, columns)
-    full = extend_to_basis(F, [columns[c] for c in pivots], dim)
-    images = [f.apply(basis[c]) for c in pivots] + [zero_vector(dim)] * (dim - len(pivots))
-    u = map_from_basis_images(F, full, images, dim)
+    u = map_on_span(F, [columns[c] for c in pivots], [f_columns[c] for c in pivots], t.dim)
     if u.compose(t).rows != f.rows:
         raise PipelineError("factor", "constructed factor does not satisfy u t = f")
     return u
@@ -573,16 +528,13 @@ def random_instance(F: FiniteField, dim: int, rng) -> SubspaceCoverInstance:
     while True:
         phi1 = tuple(rng.randrange(q) for _ in range(dim))
         phi2 = tuple(rng.randrange(q) for _ in range(dim))
-        if rank_of_vectors(F, [phi1, phi2]) == 2:
+        if len(rref(F, [phi1, phi2])[1]) == 2:
             break
     # representatives of the pencil: phi1 + c*phi2 for c in F, then phi2
     functionals = [
         tuple(add[a][mul[c][b]] for a, b in zip(phi1, phi2)) for c in range(q)
     ] + [phi2]
-    hyperplanes = [
-        kernel_basis(LinearMap(F, (func,) + tuple(zero_vector(dim) for _ in range(dim - 1))))
-        for func in functionals
-    ]
+    hyperplanes = [kernel_basis(F, [func]) for func in functionals]
 
     w = tuple(rng.randrange(q) for _ in range(dim))
     f_prime = LinearMap(
@@ -593,9 +545,7 @@ def random_instance(F: FiniteField, dim: int, rng) -> SubspaceCoverInstance:
 
     interpolants = [r0]
     for basis in hyperplanes[1:]:
-        full = extend_to_basis(F, basis, dim)
-        images = [f_prime.apply(v) for v in basis] + [zero_vector(dim)] * (dim - len(basis))
-        r_prime = map_from_basis_images(F, full, images, dim)
+        r_prime = map_on_span(F, basis, [f_prime.apply(v) for v in basis], dim)
         interpolants.append(r_prime + r0)
     return SubspaceCoverInstance(
         F, dim, f, tuple(interpolants), tuple(tuple(b) for b in hyperplanes)

@@ -59,7 +59,8 @@ from .finite_core import (
     table_from_json,
 )
 from .interpolation import (
-    agreement_mask, first_failing_subfamily, local_closure_fragment, top_subfamilies,
+    InterpolationQuery, agreement_mask, first_failing_subfamily, local_closure_fragment,
+    member_masks, top_subfamilies,
 )
 
 PARTITION_CAP = 1 << 20
@@ -121,17 +122,6 @@ class DaggerSearchOutcome(namedtuple("DaggerSearchOutcome", "certificate disproo
         return self.certificate is not None
 
 
-def _members_and_masks(f: Operation, fragment: CloneFragment, lam: int):
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if f.universe != fragment.universe:
-        raise ValueError("target and fragment universes differ")
-    if f.arity > fragment.arity_bound:
-        raise ValueError("target arity above fragment arity bound")
-    members = fragment.members[f.arity]
-    return members, [agreement_mask(f, t) for t in members]
-
-
 def check_dagger(
     f: Operation, fragment: CloneFragment, lam: int, cover: Cover
 ) -> DaggerCertificate | DaggerFailure:
@@ -143,7 +133,7 @@ def check_dagger(
     in fragment order for every subfamily of at most lam blocks."""
     if cover.universe != f.universe or cover.domain_arity != f.arity:
         raise ValueError("cover does not match the target's domain")
-    members, masks = _members_and_masks(f, fragment, lam)
+    members, masks = member_masks(InterpolationQuery(f, fragment, lam))
     block_masks = cover.block_masks()
     failing = first_failing_subfamily(block_masks, masks, lam)
     if failing is not None:
@@ -239,7 +229,7 @@ def search_dagger(
     partitions, or any cap of the cover test, ResourceCapExceeded says
     how far the search got.
     """
-    members, masks = _members_and_masks(f, fragment, lam)
+    members, masks = member_masks(InterpolationQuery(f, fragment, lam))
     npoints = len(f.table)
 
     if strategy == "singletons":

@@ -23,9 +23,9 @@ the corpus keeps digests only: what the outputs mean is checked by the
 other tests. Some error messages quote Python's own (JSON decoding, file
 errors); the digests hold under Python 3.10 to 3.13 alike. The module
 needs only the standard library, so each interpreter checks them without
-pytest:
+pytest. Under pyenv, name the version too:
 
-    python3.10 tests/corpus.py            # likewise python3.12, python3.13
+    PYENV_VERSION=3.10.13 python3.10 tests/corpus.py   # likewise 3.12.1, 3.13.0
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def gen_cases(c: Corpus) -> None:
     c.run("gen/bound0", ["gen", "--generators", "g_and2.json", "--arity-bound", "0"])
     c.run("gen/missing_file", ["gen", "--generators", "nope.json", "--arity-bound", "1"])
     c.run("gen/no_bound", ["gen", "--generators", "g_and2.json"])
+    for name, cap in [("member_cap_zero", "0"), ("member_cap_negative", "-1")]:
+        c.run(f"gen/bad/{name}", ["gen", "--generators", "g_and2.json", "--arity-bound", "2",
+                                  "--member-cap", cap])
     for name, data in BAD_GENERATORS.items():
         path = c.write(f"bad_g_{name}.json", data)
         c.run(f"gen/bad/{name}", ["gen", "--generators", path, "--arity-bound", "1"])
@@ -304,6 +307,8 @@ def ultra_cases(c: Corpus) -> None:
         c.run(f"ultra/{t}/{f}/{lam}/exhaustive", ["ultra", "--target", f"t_{t}.json",
                                                   "--fragment", f"f_{f}.json",
                                                   "--lambda", str(lam)])
+    c.run("ultra/negative_lambda", ["ultra", "--target", "t_and.json", "--fragment",
+                                    "f_and2.json", "--lambda", "-1"])
     c.run("ultra/max_blocks0", ["ultra", "--target", "t_and.json", "--fragment", "f_and2.json",
                                 "--lambda", "1", "--max-blocks", "0"])
     c.run("ultra/bad_strategy", ["ultra", "--target", "t_and.json", "--fragment",

@@ -104,6 +104,25 @@ def test_exit_codes(workdir):
     assert result["error"]["type"] == "resource_cap"
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_a_member_cap_below_1_is_an_input_error(workdir, cap):
+    code, result, _ = invoke(
+        ["gen", "--generators", workdir["nand_gens"], "--arity-bound", "2", "--member-cap", cap]
+    )
+    assert code == 1
+    assert result == {"error": {"type": "input", "message": "member cap must be >= 1"}}
+
+
+def test_ultra_and_interp_reject_a_negative_lambda_alike(workdir):
+    for command in ("interp", "ultra"):
+        code, result, _ = invoke(
+            [command, "--target", workdir["not"], "--fragment", workdir["notfrag"],
+             "--lambda", "-1"]
+        )
+        assert code == 1
+        assert result == {"error": {"type": "input", "message": "subset size must be >= 0"}}
+
+
 def test_determinism(workdir):
     argv = [
         "ultra",

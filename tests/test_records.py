@@ -75,6 +75,7 @@ RECORDS = {
     sd.AbelianGroup: lambda: sd.AbelianGroup(U2, XOR, ID, 0),
     sp.SymbolicCover: lambda: sp.SymbolicCover(2, (frozenset({0}), frozenset({1}))),
     sp.AltCoverWitness: lambda: sp.alt_cover_witness(1, 0, 1, 4),
+    sm.FiniteField: lambda: GF2,
     sm.LinearMap: lambda: I2,
     sm.SubspaceCoverInstance: lambda: sm.random_instance(GF2, 3, random.Random(1)),
     sm.DensityResult: lambda: sm.DensityResult((1,), I2),
@@ -88,7 +89,7 @@ def test_every_record_class_has_a_case():
         if isinstance(obj, type) and obj.__module__ == mod.__name__ and issubclass(obj, tuple)
     }
     assert defined == set(RECORDS)
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 25
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -164,6 +165,9 @@ NEG_BAD = fc.Operation(U2, 1, (1, 1))
     (lambda: bp.BPInstance(AND, MAJ, _bp_instance().cover,
                            {**_bp_instance().base_interpolants, frozenset({9}): AND}),
      "base interpolant for blocks [9] names a block outside the cover"),
+    (lambda: sm.FiniteField(1), "field order must be between 2 and 9, got 1"),
+    (lambda: sm.FiniteField(6), "6 is not a prime power"),
+    (lambda: sm.FiniteField(2, *sm.field_of_order(3)[1:]), "tables are not those of GF(2)"),
     (lambda: sm.LinearMap(GF2, ((1, 0),)), "matrix must be square"),
     (lambda: sm.LinearMap(GF2, ((2,),)), "entry 2 outside the field"),
     (lambda: sm.SubspaceCoverInstance(GF2, 2, I2, (), ()), "need at least one interpolant"),

@@ -87,8 +87,8 @@ def test_check_and_search_reject_bad_levels_and_targets(u2, u3, gates):
     frag = generate([gates["and"]], 2)
     and_op, maj = gates["and"], gates["maj"]
     cases = [
-        (lambda: check_dagger(and_op, frag, -1, full_cover(u2, 2)), "lam must be >= 0"),
-        (lambda: search_dagger(and_op, frag, -1), "lam must be >= 0"),
+        (lambda: check_dagger(and_op, frag, -1, full_cover(u2, 2)), "subset size must be >= 0"),
+        (lambda: search_dagger(and_op, frag, -1), "subset size must be >= 0"),
         (lambda: check_dagger(and_op, frag, 1, full_cover(u2, 1)),
          "cover does not match the target's domain"),
         (lambda: check_dagger(maj, frag, 1, full_cover(u2, 3)),
