@@ -22,15 +22,24 @@ keeps that round, order and cap logic for both table representations, and
 tables become Operation objects once the layer is closed.
 
 The representation is chosen from the universe size. On two elements a
-j-ary table is an int whose bit x is table[x], over 2**j points. The
-leading arguments of a generator split the points into parts by the
-values they spell, and with q0 and q1 the points where the generator
-gives 1 for last argument 0 and 1, the candidate for last argument b is
-q0 ^ ((q0 ^ q1) & b): one AND and two XORs per candidate, against about
-one microsecond for a tuple composition. For m >= 3 tables stay tuples,
-composed by index arithmetic (see finite_core.offset_lookup): a
-bit-sliced form of the same idea for general m measured slower than the
-tuple path.
+j-ary table is an int whose bit x is table[x], over 2**j points, and a
+generator composes through the multiplexer fold of finite_core.mask_folds:
+each leading argument halves the generator's table of masks, and the last
+two masks q0 and q1 give the candidate q0 ^ ((q0 ^ q1) & b) for last
+argument b, one AND and two XORs against about one microsecond for a tuple
+composition. For m >= 3 tables stay tuples, composed by index arithmetic
+(see finite_core.offset_lookup): a bit-sliced form of the same idea for
+general m measured slower than the tuple path.
+
+A commutative binary generator composes each unordered pair of members
+once, in either representation: the pair (i, j) with j < i would repeat the
+table of (j, i), which the same round composed earlier, so member order and
+the member-cap test stay those of the naive loop.
+
+inv on two elements walks the candidate relations as point masks, in
+all_relations order, and runs the same fold through the preservation scan
+on masks (finite_core.mask_matrix_failure); it builds a Relation only for
+the candidates every generator preserves.
 """
 
 from __future__ import annotations
@@ -45,14 +54,19 @@ from .finite_core import (
     Universe,
     all_operations,
     all_relations,
+    commutes,
     int_from_json,
     int_from_json_key,
+    mask_folds,
+    mask_matrix_failure,
     object_from_json,
     offset_lookup,
     operation_to_json,
+    point_mask,
     prefix_folds,
     preserves,
     projection,
+    relation_points,
     table_from_json,
     tag_points,
     universe_from_json,
@@ -146,7 +160,7 @@ def _close_arity(universe, generators, j, member_cap):
     if m == 2:
         points = range(2 ** j)
         masks = _close(
-            [sum(v << x for x, v in zip(points, t)) for t in seeds],
+            [point_mask(t) for t in seeds],
             functools.partial(_mask_batches, generators, (1 << len(points)) - 1),
             2 ** 2 ** j, j, member_cap,
         )
@@ -190,42 +204,31 @@ def _tuple_batches(generators, m, members, old):
     tagged = [tag_points(t, m) for t in members]
     zero = (0,) * len(members[0])
     for g in generators:
+        skip = commutes(g)
         for indices, offsets in prefix_folds(members, g.arity - 1, m, zero):
             lookup = offset_lookup(g.table, offsets, m).__getitem__
-            # An untouched prefix needs its last argument from the frontier.
-            lo = 0 if any(i >= old for i in indices) else old
-            yield [tuple(map(lookup, t)) for t in tagged[lo:]]
+            yield [tuple(map(lookup, t)) for t in tagged[_first_last(indices, old, skip):]]
 
 
-def _mask_batches(generators, all_points, members, old):
+def _mask_batches(generators, full, members, old):
     """One round's batches over bitmask tables (bit x is table[x])."""
     for g in generators:
-        # The prefix values u with g(u, 0) = 1 and with g(u, 1) = 1, u read
-        # in base 2 over the leading arguments.
-        half = range(len(g.table) // 2)
-        zeros = [u for u in half if g.table[2 * u]]
-        ones = [u for u in half if g.table[2 * u + 1]]
-        for indices, parts in _split_walk(members, g.arity - 1, (), [all_points]):
-            q0 = q1 = 0
-            for u in zeros:
-                q0 |= parts[u]
-            for u in ones:
-                q1 |= parts[u]
+        skip = commutes(g)
+        for indices, q0, q1 in mask_folds(g.table, members, full):
             d = q0 ^ q1
-            lo = 0 if any(i >= old for i in indices) else old
-            yield [q0 ^ (d & b) for b in members[lo:]]
+            yield [q0 ^ (d & b) for b in members[_first_last(indices, old, skip):]]
 
 
-def _split_walk(masks, depth, indices, parts):
-    """Yield (indices, parts) for every depth-tuple of indices into masks,
-    in itertools.product order: parts[u] is the set of points where the
-    chosen masks spell u in base 2, the first choice most significant."""
-    if depth == 0:
-        yield indices, parts
-        return
-    for i, b in enumerate(masks):
-        split = [q for p in parts for q in (p & ~b, p & b)]
-        yield from _split_walk(masks, depth - 1, indices + (i,), split)
+def _first_last(indices, old, skip):
+    """The index of the first last argument a prefix is composed with.
+
+    An untouched prefix needs its last argument from the frontier. A
+    commutative binary generator composes each unordered pair once: the
+    last argument j < i only repeats the table of (j, i), which this round
+    composed earlier.
+    """
+    lo = 0 if any(i >= old for i in indices) else old
+    return max(lo, indices[0]) if skip else lo
 
 
 def contains(fragment: CloneFragment, op: Operation) -> bool:
@@ -275,13 +278,32 @@ def inv(fragment: CloneFragment, max_arity: int) -> tuple[Relation, ...]:
     """
     if max_arity < 1:
         raise ValueError("max arity must be >= 1")
+    universe, generators = fragment.universe, fragment.generators
     out = []
     for r in range(1, max_arity + 1):
-        for rel in all_relations(fragment.universe, r):
+        if universe.size == 2:
+            out.extend(_mask_inv(universe, r, generators))
+            continue
+        for rel in all_relations(universe, r):
             # With no generators (the projection clone) every relation is kept.
-            if all(preserves(g, rel) for g in fragment.generators):
+            if all(preserves(g, rel) for g in generators):
                 out.append(rel)
     return tuple(out)
+
+
+def _mask_inv(universe, r, generators):
+    """inv's r-ary relations on two elements, in all_relations order.
+
+    Each candidate is scanned as the point masks of its sorted tuples, and
+    a Relation is built only for the candidates every generator preserves.
+    """
+    points = relation_points(universe, r)
+    masks = [point_mask(p) for p in points]
+    for bits in range(1 << len(points)):
+        rows = [mask for i, mask in enumerate(masks) if bits >> i & 1]
+        members = frozenset(rows)
+        if all(mask_matrix_failure(g, r, rows, members) is None for g in generators):
+            yield Relation(universe, r, frozenset(p for i, p in enumerate(points) if bits >> i & 1))
 
 
 def fragments_equal(a: CloneFragment, b: CloneFragment) -> bool:

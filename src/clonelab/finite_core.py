@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 OPERATION_CAP = 1 << 20
@@ -171,16 +172,72 @@ def superpose(outer: Operation, inners: list[Operation]) -> Operation:
     return Operation(outer.universe, k, table)
 
 
-# --- composition by index arithmetic ---------------------------------------
+# --- composition ------------------------------------------------------------
 #
-# Applying an n-ary table pointwise to vectors v_0..v_{n-1} looks up, at
-# each point x, the base-m number v_0[x] v_1[x] ... v_{n-1}[x] (first
-# argument most significant). The digits of the first n-1 vectors fold
-# into one offset per point, shared by every choice of the last vector;
-# offset_lookup turns the offsets into one flat table, which the last
-# vector indexes through its tagged points. Closure (the vectors are member
-# tables) and preservation (the vectors are relation tuples, the points are
-# the relation's coordinates) both compose this way.
+# Applying an n-ary table pointwise to vectors v_0..v_{n-1} evaluates, at
+# each point x, the table at the argument tuple v_0[x] v_1[x] ...
+# v_{n-1}[x]. Closure (the vectors are member tables) and preservation (the
+# vectors are relation tuples, the points are the relation's coordinates)
+# both compose this way, through one of two kernels picked by the universe
+# size. Either fixes the first n-1 vectors, in itertools.product order,
+# sharing each prefix of choices, and then composes with every last vector.
+#
+# On two elements a vector is a bitmask, bit x its value at point x, and
+# the kernel is a multiplexer fold (mask_folds). An a-ary table starts as
+# 2**a masks, all points where its entry is 1 and none where it is 0.
+# Choosing a vector t halves them: the two entries that differ only in that
+# argument merge into x ^ ((x ^ y) & t), which is y where t is 1 and x
+# where it is 0. After a-1 choices two masks q0 and q1 remain, and the
+# composite with a last vector b is q0 ^ ((q0 ^ q1) & b).
+#
+# On three or more elements the digits of the first n-1 vectors fold into
+# one base-m offset per point (prefix_folds); offset_lookup turns the
+# offsets into one flat table, which the last vector indexes through its
+# tagged points.
+#
+# A commutative binary table composes each unordered pair once: the pair
+# (i, j) with j < i repeats the composite of (j, i), which came earlier in
+# product order, so both kernels' callers start the last vector at i.
+
+def commutes(op: Operation) -> bool:
+    """True iff op is binary and op(a, b) = op(b, a) for all a, b."""
+    if op.arity != 2:
+        return False
+    m = op.universe.size
+    return m == 1 or op.table == _transpose(m)(op.table)
+
+
+@functools.cache
+def _transpose(m: int):
+    """Reads a binary table on m >= 2 elements as its transpose's table."""
+    return operator.itemgetter(*(b * m + a for a in range(m) for b in range(m)))
+
+
+def mask_folds(table, masks, full: int):
+    """Yield (indices, q0, q1) for every (a-1)-tuple of indices into masks,
+    a the arity of the two-element table, in itertools.product order.
+
+    q0 and q1 are the masks where the table gives 1 once the chosen masks
+    fill its first a-1 arguments and the last one is 0 or 1; full is the
+    mask of all points. Each distinct prefix of choices is folded once.
+    """
+    start = [full if v else 0 for v in table]
+    if len(start) == 2:
+        return iter([((), start[0], start[1])])
+    return _mux_walk(masks, (), start)
+
+
+def _mux_walk(masks, indices, table):
+    half = len(table) // 2
+    pairs = [(x, x ^ y) for x, y in zip(table[:half], table[half:])]
+    if half == 2:
+        (x0, d0), (x1, d1) = pairs
+        for i, t in enumerate(masks):
+            yield indices + (i,), x0 ^ (d0 & t), x1 ^ (d1 & t)
+        return
+    for i, t in enumerate(masks):
+        yield from _mux_walk(masks, indices + (i,), [x ^ (d & t) for x, d in pairs])
+
 
 def tag_points(vector, m: int) -> tuple[int, ...]:
     """x*m + vector[x] for each point x: where vector's entries sit in an
@@ -219,40 +276,90 @@ def _fold_walk(vectors, depth, m, indices, partial):
             yield from _fold_walk(vectors, depth - 1, m, indices + (i,), fold)
 
 
+def point_mask(point) -> int:
+    """The bitmask of a two-element vector: bit x is point[x]."""
+    return sum(v << x for x, v in enumerate(point))
+
+
 @functools.lru_cache(maxsize=16)
 def _relation_rows(rel: Relation):
-    """The sorted tuples of rel, and the same tuples tagged for
-    offset_lookup."""
+    """The sorted tuples of rel; the same tuples as the preservation scan
+    composes them, bitmasks on two elements and tagged points otherwise;
+    and the set of the relation's tuples in that form."""
     tuples = tuple(rel.sorted_tuples())
-    return tuples, tuple(tag_points(t, rel.universe.size) for t in tuples)
+    if rel.universe.size == 2:
+        rows = tuple(map(point_mask, tuples))
+        return tuples, rows, frozenset(rows)
+    return tuples, tuple(tag_points(t, rel.universe.size) for t in tuples), rel.tuples
+
+
+def _capped(prefixes, arity: int, nrows: int):
+    """The prefixes of the matrix scan cut to its first MATRIX_CAP
+    matrices, and the ResourceCapExceeded to raise if none of those fails,
+    or None when nothing was cut."""
+    cap, count = MATRIX_CAP, nrows ** arity
+    if count <= cap:
+        return prefixes, None
+    # Each prefix covers nrows matrices, one per last row.
+    return itertools.islice(prefixes, cap // nrows), ResourceCapExceeded(
+        f"matrix cap {cap} reached: scanned {cap // nrows * nrows} of the "
+        f"{count} matrices of {arity} rows from a relation of {nrows} tuples, "
+        f"none failing"
+    )
+
+
+def mask_matrix_failure(op: Operation, width: int, masks, members):
+    """The preservation scan on two elements, for a relation of the given
+    arity whose sorted tuples are masks (see point_mask) and whose tuple
+    set is members: the row indices and the image mask of the first
+    failing matrix in itertools.product order, or None."""
+    skip = commutes(op)
+    folds = mask_folds(op.table, masks, (1 << width) - 1)
+    folds, capped = _capped(folds, op.arity, len(masks))
+    for indices, q0, q1 in folds:
+        d = q0 ^ q1
+        for i in range(indices[0] if skip else 0, len(masks)):
+            image = q0 ^ (d & masks[i])
+            if image not in members:
+                return indices + (i,), image
+    if capped:
+        raise capped
+    return None
+
+
+def _tuple_matrix_failure(op: Operation, width: int, tuples, tagged, members):
+    """mask_matrix_failure on universes of any other size, the rows given
+    both as tuples and as tagged points."""
+    m, skip = op.universe.size, commutes(op)
+    folds = prefix_folds(tuples, op.arity - 1, m, (0,) * width)
+    folds, capped = _capped(folds, op.arity, len(tuples))
+    for indices, offsets in folds:
+        lookup = offset_lookup(op.table, offsets, m).__getitem__
+        for i in range(indices[0] if skip else 0, len(tagged)):
+            image = tuple(map(lookup, tagged[i]))
+            if image not in members:
+                return indices + (i,), image
+    if capped:
+        raise capped
+    return None
 
 
 def _find_preservation_violation(op: Operation, rel: Relation) -> PreservationWitness | None:
     if op.universe != rel.universe:
         raise ValueError("operation and relation live on different universes")
-    tuples, tagged = _relation_rows(rel)
-    m, members = op.universe.size, rel.tuples
+    tuples, rows, members = _relation_rows(rel)
     # Rows are visited in itertools.product order, so the first witness
     # found is the lexicographically least failing matrix.
-    cap, count = MATRIX_CAP, len(tuples) ** op.arity
-    prefixes = prefix_folds(tuples, op.arity - 1, m, (0,) * rel.arity)
-    if count > cap:
-        # Each prefix covers len(tuples) matrices, one per last row.
-        prefixes = itertools.islice(prefixes, cap // len(tuples))
-    for indices, offsets in prefixes:
-        lookup = offset_lookup(op.table, offsets, m).__getitem__
-        for i, row in enumerate(tagged):
-            image = tuple(map(lookup, row))
-            if image not in members:
-                rows = tuple(tuples[k] for k in indices + (i,))
-                return PreservationWitness(rows=rows, image=image)
-    if count > cap:
-        raise ResourceCapExceeded(
-            f"matrix cap {cap} reached: scanned {cap // len(tuples) * len(tuples)} of the "
-            f"{count} matrices of {op.arity} rows from a relation of {len(tuples)} tuples, "
-            f"none failing"
-        )
-    return None
+    if op.universe.size == 2:
+        found = mask_matrix_failure(op, rel.arity, rows, members)
+    else:
+        found = _tuple_matrix_failure(op, rel.arity, tuples, rows, members)
+    if found is None:
+        return None
+    indices, image = found
+    if op.universe.size == 2:
+        image = tuple(image >> x & 1 for x in range(rel.arity))
+    return PreservationWitness(rows=tuple(tuples[k] for k in indices), image=image)
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
@@ -366,16 +473,23 @@ def all_operations(universe: Universe, arity: int):
         yield Operation(universe, arity, table)
 
 
-def all_relations(universe: Universe, arity: int):
-    """Yield every relation of the given arity (including the empty one),
-    in deterministic order, up to RELATION_CAP of them."""
+def relation_points(universe: Universe, arity: int) -> list[tuple[int, ...]]:
+    """The arity-tuples over the universe in lexicographic order: relation
+    number bits holds point i iff bit i of bits is set. Raises
+    ResourceCapExceeded when there are more than RELATION_CAP relations."""
     points = list(universe.tuples(arity))
-    count = 1 << len(points)
-    if count > RELATION_CAP:
+    if 1 << len(points) > RELATION_CAP:
         raise ResourceCapExceeded(
             f"2^{len(points)} relations of arity {arity} exceeds cap {RELATION_CAP}"
         )
-    for bits in range(count):
+    return points
+
+
+def all_relations(universe: Universe, arity: int):
+    """Yield every relation of the given arity (including the empty one),
+    in deterministic order, up to RELATION_CAP of them."""
+    points = relation_points(universe, arity)
+    for bits in range(1 << len(points)):
         tuples = frozenset(p for i, p in enumerate(points) if bits >> i & 1)
         yield Relation(universe, arity, tuples)
 

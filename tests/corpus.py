@@ -406,6 +406,11 @@ DETECT_OPS = {
     "xor": XOR,
     "xor3": XOR3,
     "add3": op(2, tabulate(3, 2, lambda x, y: (x + y) % 3)),
+    # Not essentially unary, with every rho3 witness past the first prefix
+    # of rows (fixing all rows but the last applies a unary map to it).
+    "mix4": op(4, tabulate(2, 4, lambda a, b, c, d: (a & b) ^ (c | d))),
+    "mix6": op(6, tabulate(2, 6, lambda a, b, c, d, e, f: (a & b & c) ^ (d | e) ^ (c & f))),
+    "comm3": op(2, tabulate(3, 2, lambda x, y: (x * y + x + y) % 3)),
 }
 
 GROUPS = {

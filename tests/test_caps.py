@@ -112,6 +112,54 @@ def test_inv_reads_the_relation_cap_when_it_runs(monkeypatch):
     assert len(ce.inv(frag, 1)) == 4
 
 
+def test_inv_on_two_elements_reads_the_relation_cap_before_scanning(monkeypatch):
+    frag = ce.generate([fc.Operation(U2, 2, (1, 1, 1, 0))], 1)
+    scan, widths = ce.mask_matrix_failure, []
+
+    def recording(op, width, *rest):
+        widths.append(width)
+        return scan(op, width, *rest)
+
+    monkeypatch.setattr(ce, "mask_matrix_failure", recording)
+    monkeypatch.setattr(fc, "RELATION_CAP", 15)
+    with pytest.raises(ResourceCapExceeded, match="^2\\^4 relations of arity 2 exceeds cap 15$"):
+        ce.inv(frag, 2)
+    # The four unary relations were scanned, and no binary one.
+    assert widths == [1] * 4
+
+
+def test_the_mask_scan_stops_at_the_matrix_cap_as_the_tuple_path_does(monkeypatch):
+    monkeypatch.setattr(fc, "MATRIX_CAP", 6)
+    message = (
+        "matrix cap 6 reached: scanned 6 of the 9 matrices of 2 rows from a relation "
+        "of 3 tuples, none failing"
+    )
+    u3 = fc.Universe(3)
+    with pytest.raises(ResourceCapExceeded) as tuple_path:
+        fc.preserves(fc.projection(u3, 2, 0), fc.Relation(u3, 1, frozenset({(0,), (1,), (2,)})))
+    assert str(tuple_path.value) == message
+    rel = fc.Relation(U2, 2, frozenset({(0, 1), (1, 0), (1, 1)}))
+    with pytest.raises(ResourceCapExceeded) as mask_path:
+        fc.preserves(fc.projection(U2, 2, 0), rel)
+    assert str(mask_path.value) == message
+
+    scan, scanned = ce.mask_matrix_failure, []
+
+    def recording(op, width, rows, members):
+        scanned.append(list(rows))
+        return scan(op, width, rows, members)
+
+    monkeypatch.setattr(ce, "mask_matrix_failure", recording)
+    with pytest.raises(ResourceCapExceeded) as through_inv:
+        ce.inv(ce.generate([fc.Operation(U2, 2, (1, 1, 1, 0))], 1), 2)
+    assert str(through_inv.value) == message
+    # nand fails the 3-tuple relations {00, 01, 10}, {00, 01, 11} and
+    # {00, 10, 11} inside their first 6 matrices, and {01, 10, 11} is the
+    # 15th binary relation scanned: its masks are 2, 1 and 3.
+    assert len(scanned) == 4 + 15
+    assert scanned[-1] == [2, 1, 3]
+
+
 def test_the_vector_cap_is_read_when_the_pipeline_runs(monkeypatch):
     F = sm.field_of_order(2)
     inst = sm.random_instance(F, 4, random.Random(0))

@@ -20,6 +20,7 @@ from clonelab.finite_core import (
     ResourceCapExceeded,
     Universe,
     all_operations,
+    commutes,
     operation_from_callable,
 )
 
@@ -96,7 +97,7 @@ def test_ternary_generators_match_naive_order(u2, u3):
 
 
 def test_four_ary_u2_generators_match_naive_order(u2):
-    # Fold depth 3: the bitmask kernel splits each prefix into 8 parts.
+    # Fold depth 3: the mask fold halves 16 masks three times per prefix.
     rng = random.Random(11)
     gens = [
         operation_from_callable(u2, 4, lambda a, b, c, d: (a & b) | (c & d)),
@@ -152,6 +153,48 @@ def test_seeded_u3_binary_sets_match_naive_order_under_cap(u3):
     # Both outcomes occur, so the cap message and the member order are
     # each compared.
     assert 0 < capped < 40
+
+
+def seeded_commutative_u3_table(rng):
+    """A random binary table on U3 with t(a, b) = t(b, a)."""
+    upper = {(a, b): rng.randrange(3) for a in range(3) for b in range(a, 3)}
+    return tuple(upper[min(a, b), max(a, b)] for a in range(3) for b in range(3))
+
+
+def test_commutative_u3_generators_match_naive_order(u3):
+    # The tuple path composes each unordered pair of a commutative binary
+    # generator once; each set runs alone and beside a generator that
+    # does not commute.
+    rng = random.Random(25)
+    commutative = [
+        operation_from_callable(u3, 2, max),
+        operation_from_callable(u3, 2, min),
+        operation_from_callable(u3, 2, lambda x, y: (x + y) % 3),
+        Operation(u3, 2, seeded_commutative_u3_table(rng)),
+    ]
+    other = operation_from_callable(u3, 2, lambda x, y: (2 * x + y) % 3)
+    assert all(map(commutes, commutative)) and not commutes(other)
+    for g in commutative:
+        assert_same_order(u3, [g], 2, cap=150)
+        assert_same_order(u3, [g, other], 2, cap=150)
+        assert_same_order(u3, [other, g], 2, cap=150)
+
+
+def test_capped_commutative_u3_run_matches_naive_message(u3):
+    gens = [operation_from_callable(u3, 2, lambda x, y: (x * y + x + y) % 3),
+            operation_from_callable(u3, 1, lambda x: (x + 1) % 3)]
+    assert commutes(gens[0])
+    with pytest.raises(OracleCap, match="^arity-2 fragment exceeded member cap 40$"):
+        naive_layer(3, [(g.arity, g.table) for g in gens], 2, 40)
+    assert_same_order(u3, gens, 2, cap=40)
+
+
+def test_commutative_u2_sets_with_a_unary_generator_match_naive_order(u2, gates):
+    for binary in ("and", "or", "xor", "nand"):
+        for unary in ("not", "const0", "const1"):
+            gens = [gates[unary], gates[binary]]
+            assert_same_order(u2, gens, 4, cap=300)
+            assert_same_order(u2, gens[::-1], 4, cap=300)
 
 
 def test_one_element_universe_matches_naive_order():
