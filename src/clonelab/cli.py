@@ -22,7 +22,13 @@ preservation_witness in finite_core.
 `run(argv, out=...)` is the in-process entry point: it writes the same
 stdout and returns the same exit code as the `clonelab` command. It parses
 with one parser per process, built on the first call and only read after
-that, so a long run of queries pays for the argument tree once.
+that, so a long run of queries pays for the argument tree once. Likewise
+each operation, fragment and instance file is decoded once per process:
+the decoded record is kept for the 32 latest (decoder, file text) pairs.
+The key is the content, so a rewritten file is read afresh, and a repeated
+query skips the JSON parse and the table checks. Records are shared
+between calls, so nothing here changes one (a fragment's `members` dict
+included); caps are read by the computations, never by a decoder.
 """
 
 from __future__ import annotations
@@ -73,30 +79,52 @@ def make_certificate(kind: str, payload: dict, input_paths) -> dict:
     return {**body, "payload_digest": payload_digest}
 
 
-def load_json(path: str):
+class _MalformedJSON(Exception):
+    """Text that json.loads refuses; the message says where and why."""
+
+
+def _parse(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _MalformedJSON(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise _MalformedJSON("nested too deeply")
+
+
+@functools.lru_cache(maxsize=32)
+def _decode_text(decode, text: str):
+    """decode(the JSON in text), kept for the 32 latest (decoder, text)
+    pairs. The key is the content, so a rewritten file is decoded afresh;
+    a call that raises keeps nothing."""
+    return decode(_parse(text))
+
+
+def _load(path: str, decode, what: str | None):
+    """decode(the JSON in path), the record an earlier call made from the
+    same text when the cache still holds it; with decode None, the JSON
+    itself, parsed afresh. A decoding error becomes an input error whose
+    message starts with what, or propagates as raised when what is None."""
     try:
         with open(path, "r") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliInputError(f"malformed JSON in {path}: not valid UTF-8: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliInputError(
-            f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        )
-    except RecursionError:
-        raise CliInputError(f"malformed JSON in {path}: nested too deeply")
-
-
-def _load(path: str, decode, what: str):
-    """decode(the JSON in path); a decoding error becomes an input error
-    whose message starts with what."""
-    data = load_json(path)
     try:
-        return decode(data)
+        return _parse(text) if decode is None else _decode_text(decode, text)
+    except _MalformedJSON as exc:
+        raise CliInputError(f"malformed JSON in {path}: {exc}")
     except _DECODE_ERRORS as exc:
+        if what is None:
+            raise
         raise CliInputError(f"{what}: {exc}")
+
+
+def load_json(path: str):
+    """The JSON in path, parsed on each call, so the caller may change it."""
+    return _load(path, None, None)
 
 
 def _load_operation(path: str) -> finite_core.Operation:
@@ -107,13 +135,13 @@ def _load_fragment(path: str) -> clone_engine.CloneFragment:
     return _load(path, clone_engine.fragment_from_json, f"bad fragment file {path}: field error")
 
 
+def _query_operation_from_json(data) -> tuple[finite_core.Operation, bool]:
+    return finite_core.operation_from_json(data), "universe" in data
+
+
 def _load_query_operation(path: str) -> tuple[finite_core.Operation, bool]:
     """The operation in path, and whether the file names its own universe."""
-    return _load(
-        path,
-        lambda data: (finite_core.operation_from_json(data), "universe" in data),
-        f"bad operation file {path}: field error",
-    )
+    return _load(path, _query_operation_from_json, f"bad operation file {path}: field error")
 
 
 def _on_fragment_universe(
@@ -138,6 +166,12 @@ def _load_query(op_path: str, fragment_path: str):
 
 def _load_bp_instance(path: str) -> baker_pixley.BPInstance:
     return _load(path, baker_pixley.instance_from_json, f"bad interpolation instance {path}")
+
+
+def _load_module_instance(path: str) -> simple_module.SubspaceCoverInstance:
+    """The instance in path; a field error propagates unprefixed, and
+    check_certificate reports it as the recheck's failure."""
+    return _load(path, simple_module.instance_from_json, None)
 
 
 def _load_generators(path: str):
@@ -237,10 +271,12 @@ def _cmd_interp(args, out) -> int:
 
 
 def _cmd_ultra(args, out) -> int:
-    target, fragment = _load_query(args.target, args.fragment)
     strategy = (
         "exhaustive_partitions" if args.strategy == "exhaustive" else args.strategy
     )
+    if args.max_blocks is not None and strategy != "exhaustive_partitions":
+        raise CliInputError(f"--max-blocks does not apply to the {strategy} strategy")
+    target, fragment = _load_query(args.target, args.fragment)
     outcome = ultralocal.search_dagger(
         target, fragment, args.lam, strategy, args.max_blocks
     )
@@ -419,7 +455,7 @@ CERTIFICATES = {
     ),
     "alt_cover": ((), symbolic_perms.alt_cover_from_json, symbolic_perms.recheck_alt_cover),
     "module_recovery": (
-        (("instance", lambda path: simple_module.instance_from_json(load_json(path))),),
+        (("instance", _load_module_instance),),
         simple_module.module_recovery_from_json,
         simple_module.recheck_module_recovery,
     ),

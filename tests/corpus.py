@@ -311,6 +311,11 @@ def ultra_cases(c: Corpus) -> None:
                                     "f_and2.json", "--lambda", "-1"])
     c.run("ultra/max_blocks0", ["ultra", "--target", "t_and.json", "--fragment", "f_and2.json",
                                 "--lambda", "1", "--max-blocks", "0"])
+    for strategy, name, blocks in [("singletons", "singletons", "-3"),
+                                   ("equalizer_atoms", "atoms", "2")]:
+        c.run(f"ultra/max_blocks_{name}", ["ultra", "--target", "t_and.json", "--fragment",
+                                           "f_and2.json", "--lambda", "1", "--strategy",
+                                           strategy, "--max-blocks", blocks])
     c.run("ultra/bad_strategy", ["ultra", "--target", "t_and.json", "--fragment",
                                  "f_and2.json", "--lambda", "1", "--strategy", "greedy"])
     c.run("ultra/bad_fragment", ["ultra", "--target", "t_and.json", "--fragment",

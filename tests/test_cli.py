@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import clonelab
-from clonelab import cli, finite_core, interpolation, symbolic_perms, ultralocal
+from clonelab import baker_pixley, cli, clone_engine, finite_core, interpolation
+from clonelab import simple_module, symbolic_perms, ultralocal
 from clonelab.cli import check_certificate, run
 
 
@@ -431,6 +432,93 @@ def test_failed_calls_leave_the_next_call_unchanged(workdir):
                      "--member-cap", "3"])
     assert capped[0] == 2 and capped[1]["error"]["type"] == "resource_cap"
     assert invoke(interp + ["--lambda", "2"]) == first
+
+
+def test_a_rewritten_fragment_file_is_read_afresh(workdir):
+    fragment = workdir["dir"] / "rewritten.json"
+    member = ["member", "--op", workdir["not"], "--fragment", str(fragment)]
+    fragment.write_text(Path(workdir["notfrag"]).read_text())
+    assert invoke(member)[:2] == (0, {"result": True})
+    fragment.write_text(Path(workdir["proj1"]).read_text())
+    assert invoke(member)[:2] == (0, {"result": False})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"universe": {"size": 2}', "malformed JSON in {path}: line 1 column 25: "
+                                 "Expecting ',' delimiter"),
+    ('{"universe": {"size": 2}, "arity_bound": 1}', "bad fragment file {path}: field error: "
+                                                    "'members'"),
+], ids=["truncated", "no-members"])
+def test_a_malformed_fragment_fails_alike_until_it_is_fixed(workdir, text, message):
+    fragment = workdir["dir"] / "broken.json"
+    fragment.write_text(text)
+    member = ["member", "--op", workdir["not"], "--fragment", str(fragment)]
+    expected = {"error": {"type": "input", "message": message.format(path=fragment)}}
+    assert invoke(member)[:2] == (1, expected)
+    assert invoke(member)[:2] == (1, expected)
+    fragment.write_text(Path(workdir["notfrag"]).read_text())
+    assert invoke(member)[:2] == (0, {"result": True})
+
+
+def test_a_cap_lowered_after_a_first_run_still_fires(tmp_path, monkeypatch):
+    inst = str(tmp_path / "inst.json")
+    assert invoke(["module", "demo", "--field", "2", "--dim", "4", "--out", inst])[0] == 0
+    recover = ["module", "recover", "--instance", inst]
+    assert invoke(recover)[1]["result"] is True
+    monkeypatch.setattr(simple_module, "VECTOR_CAP", 8)
+    assert invoke(recover)[:2] == (2, {"error": {"type": "resource_cap",
+                                                 "message": "16 vectors exceed cap 8"}})
+
+    # Four singleton blocks under the majority operation: a tree of 13 nodes.
+    f = [0, 1, 1, 0]
+    bp = ["bp", "--instance", write_json(tmp_path, "bp.json", {
+        "universe": {"size": 2}, "f": {"arity": 2, "table": f},
+        "h": {"arity": 3, "table": [0, 0, 0, 1, 0, 1, 1, 1]},
+        "cover": [[0], [1], [2], [3]],
+        "base_interpolants": {",".join(map(str, key)): f for size in range(3)
+                              for key in itertools.combinations(range(4), size)}})]
+    assert invoke(bp)[1]["table"] == f
+    monkeypatch.setattr(baker_pixley, "TREE_CAP", 12)
+    assert invoke(bp)[:2] == (2, {"error": {"type": "resource_cap", "message": (
+        "interpolant tree for 4 blocks under a 3-ary near-unanimity operation "
+        "exceeds cap 12 nodes")}})
+
+
+def test_repeated_queries_decode_a_fragment_once(workdir, monkeypatch):
+    decodes = []
+    fragment_from_json = clone_engine.fragment_from_json
+
+    def counting_fragment_from_json(data):
+        decodes.append(1)
+        return fragment_from_json(data)
+
+    monkeypatch.setattr(clone_engine, "fragment_from_json", counting_fragment_from_json)
+    path = workdir["nandfrag"]
+    cert = str(workdir["dir"] / "cert.json")
+    query = ["--target", workdir["and"], "--fragment", path, "--lambda", "2"]
+    calls = [["interp", *query] for _ in range(4)]
+    calls += [["ultra", *query, "--strategy", strategy]
+              for strategy in ("singletons", "equalizer_atoms", "exhaustive")]
+    calls += [["ultra", *query, "--cert", cert], ["verify", cert, "--inputs", workdir["and"],
+                                                  path]]
+    calls += [["interp", *query]]
+    assert len(calls) == 10
+    results = [invoke(argv)[:2] for argv in calls]
+    assert all(code == 0 for code, _ in results) and results[8][1] == {"valid": True}
+    assert len(decodes) == 1
+    assert cli._load_fragment(path) == fragment_from_json(json.loads(Path(path).read_text()))
+    assert len(decodes) == 1
+
+
+def test_max_blocks_applies_only_to_the_exhaustive_strategy(workdir):
+    ultra = ["ultra", "--target", workdir["and"], "--fragment", workdir["nandfrag"],
+             "--lambda", "1"]
+    for strategy in ("singletons", "equalizer_atoms"):
+        code, result, _ = invoke(ultra + ["--strategy", strategy, "--max-blocks", "-3"])
+        assert (code, result) == (1, {"error": {"type": "input", "message": (
+            f"--max-blocks does not apply to the {strategy} strategy")}})
+    for strategy in ("exhaustive", "exhaustive_partitions"):
+        assert invoke(ultra + ["--strategy", strategy, "--max-blocks", "2"])[0] == 0
 
 
 def test_build_parser_returns_a_fresh_parser():
