@@ -192,21 +192,18 @@ def _load_generators(path: str):
         raise CliInputError(f"bad generators file {path}: field error: {exc}")
 
 
-def _load_moved_map(path: str) -> dict[int, int]:
-    """The integer map under the "moved" key of a permutation-shaped file;
-    a missing key is the empty map."""
+def _load_permutation(path: str) -> symbolic_perms.FinSuppPermutation:
+    """The permutation whose integer map is under the "moved" key of path;
+    a missing key is the identity. A map that is not a bijection of its
+    keys is malformed input."""
     data = load_json(path)
     moved = data.get("moved", {}) if isinstance(data, dict) else None
     if not isinstance(moved, dict):
         raise CliInputError(f"bad map file {path}: expected an object with a \"moved\" map")
     try:
-        return symbolic_perms.moved_map_from_json(moved)
+        moved = symbolic_perms.moved_map_from_json(moved)
     except ValueError as exc:
         raise CliInputError(f"bad map file {path}: field error: {exc}")
-
-
-def _load_permutation(path: str) -> symbolic_perms.FinSuppPermutation:
-    moved = _load_moved_map(path)
     try:
         return symbolic_perms.FinSuppPermutation(moved)
     except ValueError as exc:
@@ -373,16 +370,6 @@ def _cmd_perm(args, out) -> int:
         _emit(out, {"parity": symbolic_perms.parity(p)})
         return 0
 
-    if args.what == "alt":
-        _require(args, "perm")
-        p = _load_permutation(args.perm)
-        if args.support is not None:
-            members = symbolic_perms.in_alt_B(p, _parse_point_list(args.support))
-        else:
-            members = symbolic_perms.in_alt(p)
-        _emit(out, {"member": members})
-        return 0
-
     if args.what == "cover-witness":
         _require(args, "k", "a", "b", "window")
         witness = symbolic_perms.alt_cover_witness(args.k, args.a, args.b, args.window)
@@ -391,23 +378,33 @@ def _cmd_perm(args, out) -> int:
         _emit(out, payload)
         return 0
 
-    # altb-check, the last of the parser's choices
-    _require(args, "map", "support", "window")
-    moved = _load_moved_map(args.map)
-    support = set(_parse_point_list(args.support))
-    probes = [x for x in symbolic_perms.window_points(args.window) if x not in support]
-    member = symbolic_perms.alt_B_locally_closed_check(moved, support, probes)
-    _emit(out, {"member": member})
+    # alt and altb-check, the last of the parser's choices. altb-check asks
+    # whether the map lies in the local closure of Alt_B: B is finite, so
+    # Alt_B is a finite group, its own local closure, and in_alt_B answers.
+    if args.what == "altb-check":
+        if args.window is not None:
+            raise CliInputError("--window does not apply to perm altb-check")
+        _require(args, "map", "support")
+        path = args.map
+    else:
+        _require(args, "perm")
+        path = args.perm
+    p = _load_permutation(path)
+    if args.support is not None:
+        members = symbolic_perms.in_alt_B(p, _parse_point_list(args.support))
+    else:
+        members = symbolic_perms.in_alt(p)
+    _emit(out, {"member": members})
     return 0
 
 
 def _cmd_module(args, out) -> int:
     if args.what == "recover":
         _require(args, "instance")
-        inst, span = _load(args.instance, simple_module.instance_and_span_from_json,
-                           f"bad module instance {args.instance}")
+        inst = _load(args.instance, simple_module.instance_from_json,
+                     f"bad module instance {args.instance}")
         try:
-            result = simple_module.recover(inst, span)
+            result = simple_module.recover(inst)
         except simple_module.PipelineError as exc:
             _emit(out, {"result": False, "stage": exc.stage, "message": str(exc)})
             return 0
@@ -548,7 +545,8 @@ SCHEMAS = {
         "f": "row-major matrix",
         "interpolants": "list of matrices",
         "blocks": "list of bases (lists of vectors)",
-        "ring_span": "optional list of matrices (defaults to the full matrix ring)",
+        "ring_span": "optional list of matrices (defaults to the full matrix ring); "
+                     "verify rechecks that u is the certified combination of it",
     },
     "certificate": {
         "kind": f"one of {list(CERTIFICATES)}",

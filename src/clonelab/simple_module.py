@@ -342,21 +342,25 @@ def all_vectors(F: FiniteField, dim: int):
 # --- the cover instance and pipeline stages -----------------------------------
 
 class SubspaceCoverInstance(
-    namedtuple("SubspaceCoverInstance", "field dim f interpolants blocks")
+    namedtuple("SubspaceCoverInstance", "field dim f interpolants blocks ring_span")
 ):
-    """A target map, interpolant maps, and agreement subspaces (bases).
+    """A target map, interpolant maps, agreement subspaces (bases), and
+    the ring span the recovered map is expressed in.
 
-    blocks holds one basis (a tuple of vectors) per interpolant.
+    blocks holds one basis (a tuple of vectors) per interpolant, and
+    ring_span a tuple of matrices, or None for the full matrix ring.
     Construction checks shapes and the agreement of f with r_i on each
     block's basis (exact for the whole subspace, by linearity). It does
     not check that the blocks cover the space: recover checks what it
     needs, that the kernels of f - r_i, which contain the blocks, cover
-    it, by exhaustive vector enumeration.
+    it, by exhaustive vector enumeration. recover writes u as a
+    combination of the ring span, and verify rechecks u against that span.
     """
 
     __slots__ = ()
 
-    def __new__(cls, field: FiniteField, dim: int, f: LinearMap, interpolants, blocks):
+    def __new__(cls, field: FiniteField, dim: int, f: LinearMap, interpolants, blocks,
+                ring_span=None):
         if not interpolants:
             raise ValueError("need at least one interpolant")
         if len(interpolants) != len(blocks):
@@ -372,7 +376,9 @@ class SubspaceCoverInstance(
                     raise ValueError(
                         f"target disagrees with its interpolant at block vector {v}"
                     )
-        return tuple.__new__(cls, (field, dim, f, interpolants, blocks))
+        if ring_span is not None and any(M.field != field or M.dim != dim for M in ring_span):
+            raise ValueError(f"ring_span matrices must be {dim} x {dim}")
+        return tuple.__new__(cls, (field, dim, f, interpolants, blocks, ring_span))
 
 
 def check_kernels_cover(inst: SubspaceCoverInstance) -> None:
@@ -440,7 +446,6 @@ DensityResult = namedtuple("DensityResult", "coefficients combination")
 def density_interpolate(target: LinearMap, points, ring_span) -> DensityResult | None:
     """Solve for a span combination agreeing with the target on the given
     vectors. Absence of a solution is a value, not an error."""
-    F = target.field
     dim = target.dim
     span = list(ring_span)
     rows = []
@@ -449,17 +454,24 @@ def density_interpolate(target: LinearMap, points, ring_span) -> DensityResult |
         images = [M.apply(v) for M in span]
         rows.extend([img[i] for img in images] for i in range(dim))
         rhs.extend(target.apply(v))
-    if not rows:
-        coeffs = tuple([0] * len(span))
-        return DensityResult(coeffs, zero_map(F, dim))
-    solution = solve(F, rows, rhs)
+    solution = solve(target.field, rows, rhs) if rows else (0,) * len(span)
     if solution is None:
         return None
+    return DensityResult(tuple(solution), span_combination(target.field, dim, solution, span))
+
+
+def span_combination(F: FiniteField, dim: int, coefficients, span) -> LinearMap:
+    """The sum of c_k M_k over the coefficients c_k and the span matrices M_k."""
     combo = zero_map(F, dim)
-    for c, M in zip(solution, span):
+    for c, M in zip(coefficients, span):
         if c:
             combo = combo + M.scale(c)
-    return DensityResult(tuple(solution), combo)
+    return combo
+
+
+def instance_span(inst: SubspaceCoverInstance):
+    """The instance's ring span, the matrix units when it names none."""
+    return matrix_unit_span(inst.field, inst.dim) if inst.ring_span is None else inst.ring_span
 
 
 def matrix_unit_span(F: FiniteField, dim: int) -> list[LinearMap]:
@@ -476,19 +488,15 @@ def matrix_unit_span(F: FiniteField, dim: int) -> list[LinearMap]:
 RecoveryResult = namedtuple("RecoveryResult", "r0 t u u_coefficients recovered")
 
 
-def recover(inst: SubspaceCoverInstance, ring_span=None) -> RecoveryResult:
+def recover(inst: SubspaceCoverInstance) -> RecoveryResult:
     """Full pipeline; the result's recovered matrix equals the instance's
-    target exactly or a PipelineError identifies the failing stage."""
-    F = inst.field
-    dim = inst.dim
-    if ring_span is None:
-        ring_span = matrix_unit_span(F, dim)
+    target exactly or a PipelineError identifies the failing stage. u is
+    a combination of the instance's ring span."""
     r0 = inst.interpolants[0]
-
     check_kernels_cover(inst)
-    t = carried_sum(F, dim, [r_i - r0 for r_i in inst.interpolants])
+    t = carried_sum(inst.field, inst.dim, [r_i - r0 for r_i in inst.interpolants])
     u_raw = factor_through(t, inst.f - r0)
-    density = density_interpolate(u_raw, image_basis(t), ring_span)
+    density = density_interpolate(u_raw, image_basis(t), instance_span(inst))
     if density is None:
         raise PipelineError(
             "density", "factor map is not interpolable inside the ring span"
@@ -565,13 +573,16 @@ def matrix_from_json(F: FiniteField, data) -> LinearMap:
 
 
 def instance_to_json(inst: SubspaceCoverInstance) -> dict:
-    return {
+    data = {
         "field": inst.field.order,
         "dim": inst.dim,
         "f": matrix_to_json(inst.f),
         "interpolants": [matrix_to_json(r) for r in inst.interpolants],
         "blocks": [[list(v) for v in block] for block in inst.blocks],
     }
+    if inst.ring_span is not None:
+        data["ring_span"] = [matrix_to_json(M) for M in inst.ring_span]
+    return data
 
 
 def instance_from_json(data: dict) -> SubspaceCoverInstance:
@@ -582,19 +593,9 @@ def instance_from_json(data: dict) -> SubspaceCoverInstance:
     blocks = tuple(
         tuple(table_from_json(v, "block vector") for v in block) for block in data["blocks"]
     )
-    return SubspaceCoverInstance(F, dim, f, interpolants, blocks)
-
-
-def instance_and_span_from_json(data: dict):
-    """The instance and its "ring_span", or None for the full matrix ring
-    when the key is absent. Span matrices must have the instance's size."""
-    inst = instance_from_json(data)
-    if "ring_span" not in data:
-        return inst, None
-    span = [matrix_from_json(inst.field, m) for m in data["ring_span"]]
-    if any(M.dim != inst.dim for M in span):
-        raise ValueError(f"ring_span matrices must be {inst.dim} x {inst.dim}")
-    return inst, span
+    span = (tuple(matrix_from_json(F, M) for M in data["ring_span"])
+            if "ring_span" in data else None)
+    return SubspaceCoverInstance(F, dim, f, interpolants, blocks, span)
 
 
 def module_recovery_to_json(inst: SubspaceCoverInstance, result: RecoveryResult) -> dict:
@@ -610,20 +611,26 @@ def module_recovery_to_json(inst: SubspaceCoverInstance, result: RecoveryResult)
 
 
 def module_recovery_from_json(data: dict, inst: SubspaceCoverInstance):
-    """(field order, dim, r0, t, u, recovered) of a payload, its matrices
-    read over the instance's field and required to have its size."""
+    """(field order, dim, r0, t, u, recovered, u_coefficients) of a payload,
+    its matrices read over the instance's field and required to have its
+    size, and its coefficients elements of that field."""
     r0, t, u, recovered = matrices = tuple(
         matrix_from_json(inst.field, data[key]) for key in ("r0", "t", "u", "recovered")
     )
     if any(M.dim != inst.dim for M in matrices):
         raise ValueError(f"r0, t, u and recovered must be {inst.dim} x {inst.dim}")
     order = int_from_json(data.get("field", -1), "field")
-    return order, int_from_json(data.get("dim", -1), "dim"), r0, t, u, recovered
+    dim = int_from_json(data.get("dim", -1), "dim")
+    coefficients = table_from_json(data["u_coefficients"], "u_coefficients")
+    if not all(0 <= c < inst.field.order for c in coefficients):
+        raise ValueError(f"u_coefficients must be elements of GF({inst.field.order})")
+    return order, dim, r0, t, u, recovered, coefficients
 
 
 def recheck_module_recovery(decoded, inst: SubspaceCoverInstance) -> str | None:
-    """Why the payload does not recover the target as u t + r0, or None."""
-    order, dim, r0, t, u, recovered = decoded
+    """Why the payload does not recover the target as u t + r0, with u the
+    certified combination of the ring span, or None."""
+    order, dim, r0, t, u, recovered, coefficients = decoded
     if order != inst.field.order or dim != inst.dim:
         return "payload shape does not match the instance"
     if r0.rows != inst.interpolants[0].rows:
@@ -632,4 +639,9 @@ def recheck_module_recovery(decoded, inst: SubspaceCoverInstance) -> str | None:
         return "u t + r0 does not reassemble the certified map"
     if recovered.rows != inst.f.rows:
         return "recovered map differs from the target"
+    span = instance_span(inst)
+    if len(coefficients) != len(span) or span_combination(
+        inst.field, inst.dim, coefficients, span
+    ).rows != u.rows:
+        return "u is not the certified combination of the ring span"
     return None

@@ -2,9 +2,11 @@
 
 The base set is all of the naturals; a permutation stores only its moved
 points, so membership checks (evenness, support bounds) are finite even
-though the ambient set is not. Cover witnesses and interpolability checks
-are carried out inside an explicit finite window [0, N) and every claim
-they back is window-relative.
+though the ambient set is not. Only cover witnesses are window-relative:
+one is built inside an explicit finite window [0, N), and every claim it
+backs holds on that window. Membership in Alt_B for a finite B needs no
+window: Alt_B is a finite group, hence its own local closure, so in_alt_B
+decides it from the moved points alone.
 """
 
 from __future__ import annotations
@@ -162,13 +164,6 @@ class AltCoverWitness(namedtuple("AltCoverWitness", "k a b cover interpolants"))
     __slots__ = ()
 
 
-def window_points(window: int) -> range:
-    """range(window), once the window is known not to exceed WINDOW_CAP."""
-    if window > WINDOW_CAP:
-        raise ResourceCapExceeded(f"window {window} exceeds cap {WINDOW_CAP}")
-    return range(window)
-
-
 def block_index(cover: SymbolicCover) -> dict[int, int]:
     """The index of the block holding each window point."""
     return {point: i for i, block in enumerate(cover.blocks) for point in block}
@@ -213,7 +208,9 @@ def alt_cover_witness(k: int, a: int, b: int, window: int) -> AltCoverWitness:
         raise ResourceCapExceeded(
             f"{count} interpolants at k = {k} exceed cap {INTERPOLANT_CAP}"
         )
-    order = [a, b] + sorted(set(window_points(window)) - {a, b})
+    if window > WINDOW_CAP:
+        raise ResourceCapExceeded(f"window {window} exceeds cap {WINDOW_CAP}")
+    order = [a, b] + sorted(set(range(window)) - {a, b})
     blocks = []
     for i in range(nblocks):
         if i < nblocks - 1:
@@ -259,33 +256,6 @@ def verify_alt_cover(witness: AltCoverWitness) -> bool:
         interpolant.is_even() and agrees_on_blocks(interpolant, target, block_of, key)
         for key, interpolant in witness.interpolants.items()
     )
-
-
-def alt_B_locally_closed_check(moved: dict[int, int], support_bound, probe_points) -> bool:
-    """Pointwise-interpolability test against the group of even
-    permutations supported inside support_bound.
-
-    moved is read as a total map, the identity off its keys (a
-    FinSuppPermutation p passes p.moved). For every probe point a the map
-    must agree with some even permutation p of the bound on
-    support_bound + {a}. Agreement on the bound pins p to the map's
-    restriction there, and p fixes a, so a match exists iff the map sends
-    the bound onto itself as an even permutation and fixes a.
-    """
-    points = set(support_bound)
-    bound = sorted(points)
-    if any(x < 0 for x in bound):
-        raise ValueError("permutations act on the naturals")
-    image = [moved.get(x, x) for x in bound]
-    even_on_bound = sorted(image) == bound and FinSuppPermutation(
-        dict(zip(bound, image))
-    ).is_even()
-    for a in probe_points:
-        if a in points:
-            raise ValueError(f"probe point {a} lies inside the support bound")
-        if not (even_on_bound and moved.get(a, a) == a):
-            return False
-    return True
 
 
 # --- JSON interchange ---------------------------------------------------------

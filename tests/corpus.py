@@ -485,6 +485,7 @@ ALTB_MAPS = {
     "swap_out": {"moved": {"0": 5, "5": 0}},
     "into": {"moved": {"0": 1}},
     "identity": {"moved": {}},
+    "swap_far": {"moved": {"100": 101, "101": 100}},
 }
 
 
@@ -514,17 +515,16 @@ def perm_cases(c: Corpus) -> None:
                                            "--b", "1"])
     for name, data in ALTB_MAPS.items():
         path = c.write(f"m_{name}.json", data)
-        for support, window in [("0,1,2", "6"), ("0,1", "3"), ("0,1,5", "8"), ("", "4"),
-                                ("0,2", "0")]:
-            c.run(f"perm/altb/{name}/{support}/{window}",
-                  ["perm", "altb-check", "--map", path, "--support", support,
-                   "--window", window])
-    c.run("perm/altb/no_support", ["perm", "altb-check", "--map", "m_swap01.json",
-                                   "--window", "4"])
+        for support in ["0,1,2", "0,1", "0,1,5", "", "0,2"]:
+            c.run(f"perm/altb/{name}/{support}",
+                  ["perm", "altb-check", "--map", path, "--support", support])
+    c.run("perm/altb/window", ["perm", "altb-check", "--map", "m_swap_far.json",
+                               "--support", "0,1,2", "--window", "10"])
+    c.run("perm/altb/no_support", ["perm", "altb-check", "--map", "m_swap01.json"])
     c.run("perm/altb/bad_map", ["perm", "altb-check", "--map", "p_moved_list.json",
-                                "--support", "0", "--window", "4"])
+                                "--support", "0"])
     c.run("perm/altb/negative_map", ["perm", "altb-check", "--map", "p_negative_key.json",
-                                     "--support", "0", "--window", "4"])
+                                     "--support", "0"])
     c.run("perm/unknown", ["perm", "bogus"])
 
 
@@ -776,6 +776,8 @@ def forge_cases(c: Corpus) -> None:
         "t_short": _edit(lambda p: p["t"].pop()),
         "t_two_by_two": _set(t=[[1, 0], [0, 1]]),
         "entry_outside": _edit(lambda p: p["u"][0].__setitem__(0, 2)),
+        "u_coefficients_other": _edit(lambda p: p["u_coefficients"].__setitem__(
+            0, 1 - p["u_coefficients"][0])),
     })
 
 

@@ -243,3 +243,10 @@ def test_every_cap_constant_has_a_row_in_the_readme_caps_table():
             if inspect.isfunction(getattr(module, fn, None))
         ]
         assert any(reads_cap(module, fn, name) for fn in named), (name, bounds)
+
+
+def test_the_window_cap_row_names_perm_cover_witness_only():
+    # altb-check decides membership from the map's moved points, so no
+    # window bounds it; cover-witness is the one command a window bounds.
+    (row,) = re.findall(r"^\| `WINDOW_CAP` .*$", README.read_text(), re.M)
+    assert re.findall(r"`(perm [\w-]+)`", row) == ["perm cover-witness"]

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import clonelab
+import corpus
 from clonelab import baker_pixley, cli, clone_engine, finite_core, interpolation
 from clonelab import simple_module, symbolic_perms, ultralocal
 from clonelab.cli import check_certificate, run
@@ -246,7 +248,6 @@ def test_perm_commands(workdir):
             "perm", "altb-check",
             "--map", str(ppath),
             "--support", "0,1,2,3",
-            "--window", "12",
         ]
     )
     assert code == 0 and result == {"member": False}
@@ -378,7 +379,7 @@ def test_gen_malformed_generators_are_input_errors(tmp_path, generators):
             {"op": {"arity": 1, "table": [1, 0]}},
         ),
         (
-            ["perm", "altb-check", "--map", "{m}", "--support", "0,1", "--window", "4"],
+            ["perm", "altb-check", "--map", "{m}", "--support", "0,1"],
             {"m": {"moved": {"0": "one", "1": 0}}},
         ),
         (["perm", "cover-witness", "--k", "-1", "--a", "0", "--b", "1", "--window", "6"], {}),
@@ -859,8 +860,7 @@ def test_moved_maps_are_read_strictly(tmp_path, moved, command):
     path = write_json(tmp_path, "p.json", {"moved": moved})
     argv = {
         "parity": ["perm", "parity", "--perm", path],
-        "altb-check": ["perm", "altb-check", "--map", path, "--support", "0,1",
-                       "--window", "4"],
+        "altb-check": ["perm", "altb-check", "--map", path, "--support", "0,1"],
     }[command]
     code, result, _ = invoke(argv)
     assert code == 1 and result["error"]["type"] == "input"
@@ -869,9 +869,44 @@ def test_moved_maps_are_read_strictly(tmp_path, moved, command):
 
 def test_altb_check_with_a_negative_support_point_is_input_error(tmp_path):
     path = write_json(tmp_path, "p.json", {"moved": {"0": 1, "1": 0}})
-    code, result, _ = invoke(["perm", "altb-check", "--map", path, "--support=-1,0",
-                              "--window", "4"])
+    code, result, _ = invoke(["perm", "altb-check", "--map", path, "--support=-1,0"])
     assert code == 1 and result["error"]["type"] == "input"
+
+
+def _seeded_maps(rng, count):
+    """Maps on 8 points, 5 of them beyond 2^16: a bijection of its keys
+    when the index is even, two keys sharing an image when it is odd."""
+    maps = {}
+    for i in range(count):
+        keys = rng.sample(range(8), 3) + rng.sample(range(1 << 16, 1 << 20), 5)
+        images = keys[:]
+        rng.shuffle(images)
+        if i % 2:
+            images[0] = images[1]
+        maps[f"seeded{i}"] = {"moved": {str(k): v for k, v in zip(keys, images)}}
+    return maps
+
+
+def test_altb_check_answers_as_alt_with_a_support(tmp_path):
+    maps = {**corpus.PERMS, **{f"altb_{name}": data for name, data in corpus.ALTB_MAPS.items()},
+            **_seeded_maps(random.Random(1919), 40)}
+    outcomes = []
+    for name, data in maps.items():
+        path = write_json(tmp_path, f"{name}.json", data)
+        keys = list(data["moved"]) if isinstance(data, dict) and isinstance(
+            data.get("moved"), dict) else []
+        for support in ["0,1,2", "0,1,4,5", "", "100,101", ",".join(keys),
+                        ",".join(keys[1:] + ["3"])]:
+            altb = invoke(["perm", "altb-check", "--map", path, "--support", support])
+            alt = invoke(["perm", "alt", "--perm", path, "--support", support])
+            assert (altb[0], altb[2]) == (alt[0], alt[2]), (name, support)
+            outcomes.append((name, altb[0], altb[1]))
+    refused = {name for name, code, _ in outcomes if code == 1}
+    assert {"not_bijection", "not_injective", "altb_into"} <= refused
+    assert {f"seeded{i}" for i in range(1, 40, 2)} <= refused
+    assert not {f"seeded{i}" for i in range(0, 40, 2)} & refused
+    verdicts = [result["member"] for _, code, result in outcomes if code == 0]
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 @pytest.mark.parametrize("edit", [
@@ -923,6 +958,32 @@ def test_verify_module_recovery_rejects_matrices_of_the_wrong_size(tmp_path, key
     code, verdict, _ = invoke(["verify", forged, "--inputs", inst_path])
     assert code == 0 and verdict == {
         "valid": False, "reason": "unusable payload: r0, t, u and recovered must be 3 x 3"}
+
+
+def test_verify_module_recovery_rechecks_u_against_a_restricted_ring_span(tmp_path):
+    inst_path = str(tmp_path / "inst.json")
+    invoke(["module", "demo", "--field", "2", "--dim", "4", "--seed", "9", "--out", inst_path])
+    code, full, _ = invoke(["module", "recover", "--instance", inst_path])
+    assert code == 0
+    # A span of u alone: recovery certifies u as 1 times its one matrix.
+    data = json.loads(Path(inst_path).read_text())
+    span_path = write_json(tmp_path, "span.json", {**data, "ring_span": [full["u"]]})
+    cert_path = str(tmp_path / "mod.json")
+    code, result, _ = invoke(["module", "recover", "--instance", span_path, "--cert", cert_path])
+    assert code == 0 and result["u"] == full["u"] and result["u_coefficients"] == [1]
+    assert invoke(["verify", cert_path, "--inputs", span_path])[:2] == (0, {"valid": True})
+    # z = e_0 phi^T with phi^T t = 0, so z t = 0 and u + z still reassembles
+    # the target, but u + z is not the certified combination.
+    F = simple_module.field_of_order(2)
+    phi = simple_module.kernel_basis(F, list(zip(*result["t"])))[0]
+    forged_u = [[(x + y) % 2 for x, y in zip(row, phi if i == 0 else (0,) * 4)]
+                for i, row in enumerate(result["u"])]
+    u, t = (simple_module.LinearMap(F, tuple(map(tuple, m))) for m in (forged_u, result["t"]))
+    assert u.compose(t).rows == simple_module.LinearMap(
+        F, tuple(map(tuple, result["u"]))).compose(t).rows
+    forged = _forge(tmp_path, cert_path, [span_path], lambda p: p.update(u=forged_u))
+    assert invoke(["verify", forged, "--inputs", span_path])[:2] == (0, {
+        "valid": False, "reason": "u is not the certified combination of the ring span"})
 
 
 def test_verify_rejects_an_unhashable_kind():
@@ -1017,7 +1078,7 @@ def test_support_points_are_read_as_plain_decimals(tmp_path, point):
     path = write_json(tmp_path, "p.json", {"moved": {"0": 1, "1": 0}})
     for argv in (
         ["perm", "alt", "--perm", path, f"--support=0,{point}"],
-        ["perm", "altb-check", "--map", path, f"--support=0,{point}", "--window", "12"],
+        ["perm", "altb-check", "--map", path, f"--support=0,{point}"],
     ):
         code, result, _ = invoke(argv)
         assert code == 1 and result["error"]["type"] == "input"
@@ -1189,20 +1250,29 @@ def test_windows_past_the_window_cap_exit_2_before_listing(tmp_path):
                               "--window", window, "--cert", str(cert)])
     assert (code, result) == (2, message)
     assert not cert.exists()
-    moved = write_json(tmp_path, "map.json", {"moved": {"0": 1, "1": 0}})
-    code, result, _ = invoke(["perm", "altb-check", "--map", moved, "--support", "0,1",
-                              "--window", window])
-    assert (code, result) == (2, message)
     assert time.perf_counter() - started < 1.0
 
 
-def test_altb_check_with_a_2000_point_support_at_the_window_cap_is_fast(tmp_path):
-    moved = write_json(tmp_path, "map.json", {"moved": {"0": 1, "1": 2, "2": 0}})
+@pytest.mark.parametrize("window", ["0", "10", str(symbolic_perms.WINDOW_CAP + 1)])
+def test_altb_check_rejects_a_window(tmp_path, window):
+    # Alt_B is finite, so membership needs no window, and one given is an
+    # input error whatever its size, before the map is read.
+    argv = ["perm", "altb-check", "--map", str(tmp_path / "absent.json"), "--support", "0,1",
+            "--window", window]
+    assert invoke(argv)[:2] == (1, {"error": {
+        "type": "input", "message": "--window does not apply to perm altb-check"}})
+
+
+def test_altb_check_with_a_2000_point_support_is_fast(tmp_path):
+    moved = write_json(tmp_path, "map.json", {"moved": {"0": 1, "1": 2, "2": 0, "1999": 70000,
+                                                        "70000": 1999, "5": 6, "6": 5}})
     support = ",".join(map(str, range(2000)))
-    window = str(symbolic_perms.WINDOW_CAP)
     started = time.perf_counter()
-    code, result, _ = invoke(["perm", "altb-check", "--map", moved, "--support", support,
-                              "--window", window])
+    code, result, _ = invoke(["perm", "altb-check", "--map", moved, "--support", support])
+    assert time.perf_counter() - started < 2.0
+    assert (code, result) == (0, {"member": False})
+    code, result, _ = invoke(["perm", "altb-check", "--map", moved,
+                              "--support", support + ",70000"])
     assert time.perf_counter() - started < 2.0
     assert (code, result) == (0, {"member": True})
 

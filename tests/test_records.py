@@ -178,6 +178,8 @@ NEG_BAD = fc.Operation(U2, 1, (1, 1))
      "block vector of wrong dimension"),
     (lambda: sm.SubspaceCoverInstance(GF2, 2, I2, (sm.zero_map(GF2, 2),), (((1, 0),),)),
      "target disagrees with its interpolant at block vector (1, 0)"),
+    (lambda: sm.SubspaceCoverInstance(GF2, 2, I2, (I2,), ((),), (sm.zero_map(GF2, 3),)),
+     "ring_span matrices must be 2 x 2"),
     (lambda: sd.AbelianGroup(U2, NOT, ID, 0),
      "addition must be a binary operation on the universe"),
     (lambda: sd.AbelianGroup(U2, XOR, XOR, 0), "negation must be unary on the universe"),

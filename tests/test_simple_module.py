@@ -543,6 +543,15 @@ def test_instance_json_round_trip():
     assert back.blocks == inst.blocks
 
 
+def test_instance_json_writes_a_ring_span_only_when_one_is_named():
+    inst = random_instance(field_of_order(3), 3, random.Random(5))
+    assert inst.ring_span is None and "ring_span" not in instance_to_json(inst)
+    span = (identity_map(inst.field, 3),)
+    data = {**instance_to_json(inst), "ring_span": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}
+    assert instance_from_json(data) == inst._replace(ring_span=span)
+    assert instance_to_json(instance_from_json(data)) == data
+
+
 @pytest.mark.parametrize("marker", [0, 1, 16, 49])
 def test_instances_over_non_desk_fields_rejected(marker):
     # only explicit small finite fields are accepted; anything else,

@@ -6,7 +6,6 @@ import pytest
 from clonelab.symbolic_perms import (
     AltCoverWitness,
     FinSuppPermutation,
-    alt_B_locally_closed_check,
     alt_cover_from_json,
     alt_cover_to_json,
     alt_cover_witness,
@@ -166,43 +165,6 @@ def test_even_permutations_of():
     even = [p for p in perms if p.is_even()]
     assert len(even) == 12
     assert all(p.support <= set(points) for p in even)
-
-
-def test_alt_B_check_examples():
-    B = [0, 1, 2, 3]
-    probes = [x for x in range(12) if x not in B]
-    assert alt_B_locally_closed_check(from_cycles([(0, 1, 2)]).moved, B, probes)
-    assert alt_B_locally_closed_check({}, B, probes)
-    # moving a probe point is caught by interpolation on bound + probe
-    assert not alt_B_locally_closed_check(transposition(0, 5).moved, B, probes)
-    # odd permutations of the bound have no even match
-    assert not alt_B_locally_closed_check(transposition(0, 1).moved, B, probes)
-    with pytest.raises(ValueError):
-        alt_B_locally_closed_check({}, B, [0])
-
-
-def test_alt_B_check_accepts_plain_mappings():
-    B = [0, 1, 2, 3]
-    probes = [x for x in range(12) if x not in B]
-    assert alt_B_locally_closed_check({0: 1, 1: 2, 2: 0}, B, probes)
-    assert not alt_B_locally_closed_check({4: 4, 5: 6}, B, probes)
-    assert not alt_B_locally_closed_check({0: 0, 1: 1, 2: 3}, B, probes)
-
-
-def test_alt_B_check_decides_a_12_point_support_directly():
-    # 12!/2 even permutations are far too many to list; the check must not
-    B = list(range(12))
-    probes = list(range(12, 20))
-    assert alt_B_locally_closed_check(from_cycles([(0, 5, 11)]).moved, B, probes)
-    assert alt_B_locally_closed_check({i: (i + 1) % 11 for i in range(11)}, B, probes)
-    assert not alt_B_locally_closed_check(transposition(3, 9).moved, B, probes)
-    assert not alt_B_locally_closed_check(from_cycles([(0, 12, 1)]).moved, B, probes)
-    assert not alt_B_locally_closed_check({0: 1}, B, probes)
-    assert alt_B_locally_closed_check(transposition(3, 9).moved, B, [])
-    # a probe inside the bound is an error only once the check reaches it
-    assert not alt_B_locally_closed_check(transposition(3, 9).moved, B, [12, 3])
-    with pytest.raises(ValueError, match="inside the support bound"):
-        alt_B_locally_closed_check({}, B, [12, 3])
 
 
 def test_json_round_trip():
