@@ -1,11 +1,16 @@
 """Unified command-line front end with JSON input and output.
 
 Verdict-producing subcommands always exit 0, including negative verdicts;
-exit 1 means malformed input, exit 2 a resource cap. `run` is the one
-error boundary: every ValueError a subcommand raises (CliInputError is
-one) becomes the exit-1 error object, and ResourceCapExceeded the exit-2
-one. Output is canonical JSON (sorted keys, no whitespace), so identical
-inputs give byte-identical output.
+exit 1 means malformed input, exit 2 a resource cap. Each subcommand, and
+each question of detect, perm and module, has its own parser that
+accepts only the options its handler reads. An argv of the wrong shape
+(an unknown question or option, a missing required one) is a usage
+error: usage on stderr, nothing on stdout, exit 1. `run` is the one
+error boundary for the rest: every ValueError a handler raises
+(CliInputError is one) becomes the exit-1 `{"error": ...}` object on
+stdout, and ResourceCapExceeded the exit-2 one. Output is canonical JSON
+(sorted keys, no whitespace), so identical inputs give byte-identical
+output.
 
 Subcommands that produce checkable objects can write a certificate file;
 `clonelab verify` rechecks any certificate against the original inputs.
@@ -298,53 +303,51 @@ def _cmd_bp(args, out) -> int:
     return 0
 
 
-def _cmd_detect(args, out) -> int:
-    if args.what == "ess-unary":
-        op = _load_operation(args.op)
+def _cmd_detect_ess_unary(args, out) -> int:
+    op = _load_operation(args.op)
+    unary = finite_core.is_essentially_unary_direct(op)
+    result: dict = {"essentially_unary": unary}
+    if not unary:
+        # The table decides; the rho3 scan only finds the witness.
         rel = finite_core.rho3(op.universe)
         witness = finite_core.preservation_witness(op, rel)
-        result: dict = {"essentially_unary": witness is None}
-        if witness is not None:
-            payload = finite_core.preservation_witness_to_json(op, rel, witness)
-            result["witness"] = finite_core.witness_to_json(witness)
-            _write_certificate(args, "preservation_witness", payload)
-        _emit(out, result)
-        return 0
-
-    if args.what == "product":
-        op = _load_operation(args.op)
-        _require(args, "left-size", "right-size")
-        pu = structure_detect.ProductUniverse(
-            finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
-        )
-        if op.universe.size != pu.paired.size:
-            raise CliInputError("operation universe does not match the product sizes")
-        split = structure_detect.decompose_product(pu, op)
-        result = {"product": bool(split)}
-        if split:
-            payload = structure_detect.product_decomp_to_json(pu, split)
-            result["factor_left"] = payload["factor_left"]
-            result["factor_right"] = payload["factor_right"]
-            _write_certificate(args, "product_decomp", payload)
-        else:
-            result["witness"] = finite_core.witness_to_json(split.witness)
-        _emit(out, result)
-        return 0
-
-    if args.what == "module":
-        op = _load_operation(args.op)
-        _require(args, "group")
-        group = _load(args.group, structure_detect.group_from_json,
-                      f"bad group file {args.group}")
-        result = {"compatible": structure_detect.module_compatible(op, group)}
-        _emit(out, result)
-        return 0
-
-    # gs, the last of the parser's choices
-    op = _load_operation(args.op)
-    _require(args, "ideal")
-    result = {"member": structure_detect.goldstern_shelah_member(op, args.ideal)}
+        result["witness"] = finite_core.witness_to_json(witness)
+        payload = finite_core.preservation_witness_to_json(op, rel, witness)
+        _write_certificate(args, "preservation_witness", payload)
     _emit(out, result)
+    return 0
+
+
+def _cmd_detect_product(args, out) -> int:
+    op = _load_operation(args.op)
+    pu = structure_detect.ProductUniverse(
+        finite_core.Universe(args.left_size), finite_core.Universe(args.right_size)
+    )
+    if op.universe.size != pu.paired.size:
+        raise CliInputError("operation universe does not match the product sizes")
+    split = structure_detect.decompose_product(pu, op)
+    result: dict = {"product": bool(split)}
+    if split:
+        payload = structure_detect.product_decomp_to_json(pu, split)
+        result["factor_left"] = payload["factor_left"]
+        result["factor_right"] = payload["factor_right"]
+        _write_certificate(args, "product_decomp", payload)
+    else:
+        result["witness"] = finite_core.witness_to_json(split.witness)
+    _emit(out, result)
+    return 0
+
+
+def _cmd_detect_module(args, out) -> int:
+    op = _load_operation(args.op)
+    group = _load(args.group, structure_detect.group_from_json, f"bad group file {args.group}")
+    _emit(out, {"compatible": structure_detect.module_compatible(op, group)})
+    return 0
+
+
+def _cmd_detect_gs(args, out) -> int:
+    op = _load_operation(args.op)
+    _emit(out, {"member": structure_detect.goldstern_shelah_member(op, args.ideal)})
     return 0
 
 
@@ -357,39 +360,25 @@ def _parse_point_list(text: str) -> list[int]:
         raise CliInputError(f"expected comma-separated nonnegative integers, got {text!r}")
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise CliInputError(f"missing required option --{name}")
+def _cmd_perm_parity(args, out) -> int:
+    _emit(out, {"parity": symbolic_perms.parity(_load_permutation(args.perm))})
+    return 0
 
 
-def _cmd_perm(args, out) -> int:
-    if args.what == "parity":
-        _require(args, "perm")
-        p = _load_permutation(args.perm)
-        _emit(out, {"parity": symbolic_perms.parity(p)})
-        return 0
+def _cmd_perm_cover_witness(args, out) -> int:
+    witness = symbolic_perms.alt_cover_witness(args.k, args.a, args.b, args.window)
+    payload = symbolic_perms.alt_cover_to_json(witness)
+    _write_certificate(args, "alt_cover", payload)
+    _emit(out, payload)
+    return 0
 
-    if args.what == "cover-witness":
-        _require(args, "k", "a", "b", "window")
-        witness = symbolic_perms.alt_cover_witness(args.k, args.a, args.b, args.window)
-        payload = symbolic_perms.alt_cover_to_json(witness)
-        _write_certificate(args, "alt_cover", payload)
-        _emit(out, payload)
-        return 0
 
-    # alt and altb-check, the last of the parser's choices. altb-check asks
-    # whether the map lies in the local closure of Alt_B: B is finite, so
-    # Alt_B is a finite group, its own local closure, and in_alt_B answers.
-    if args.what == "altb-check":
-        if args.window is not None:
-            raise CliInputError("--window does not apply to perm altb-check")
-        _require(args, "map", "support")
-        path = args.map
-    else:
-        _require(args, "perm")
-        path = args.perm
-    p = _load_permutation(path)
+def _cmd_perm_alt(args, out) -> int:
+    """perm alt, and perm altb-check, whose --map is read as --perm and
+    whose --support is required. altb-check asks whether the map lies in
+    the local closure of Alt_B: B is finite, so Alt_B is a finite group,
+    its own local closure, and in_alt_B answers."""
+    p = _load_permutation(args.perm)
     if args.support is not None:
         members = symbolic_perms.in_alt_B(p, _parse_point_list(args.support))
     else:
@@ -398,22 +387,21 @@ def _cmd_perm(args, out) -> int:
     return 0
 
 
-def _cmd_module(args, out) -> int:
-    if args.what == "recover":
-        _require(args, "instance")
-        inst = _load(args.instance, simple_module.instance_from_json,
-                     f"bad module instance {args.instance}")
-        try:
-            result = simple_module.recover(inst)
-        except simple_module.PipelineError as exc:
-            _emit(out, {"result": False, "stage": exc.stage, "message": str(exc)})
-            return 0
-        payload = simple_module.module_recovery_to_json(inst, result)
-        _write_certificate(args, "module_recovery", payload)
-        _emit(out, {"result": True, **payload})
+def _cmd_module_recover(args, out) -> int:
+    inst = _load(args.instance, simple_module.instance_from_json,
+                 f"bad module instance {args.instance}")
+    try:
+        result = simple_module.recover(inst)
+    except simple_module.PipelineError as exc:
+        _emit(out, {"result": False, "stage": exc.stage, "message": str(exc)})
         return 0
+    payload = simple_module.module_recovery_to_json(inst, result)
+    _write_certificate(args, "module_recovery", payload)
+    _emit(out, {"result": True, **payload})
+    return 0
 
-    # demo, the last of the parser's choices
+
+def _cmd_module_demo(args, out) -> int:
     F = simple_module.field_of_order(args.field)
     inst = simple_module.random_instance(F, args.dim, random.Random(args.seed))
     result = simple_module.instance_to_json(inst)
@@ -557,6 +545,13 @@ SCHEMAS = {
 }
 
 
+def _subcommand(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand or question; run() calls handler."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clonelab",
@@ -567,22 +562,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gen", help="generate an arity-bounded clone fragment")
+    p = _subcommand(sub, "gen", _cmd_gen, "generate an arity-bounded clone fragment")
     p.add_argument("--generators", required=True)
     p.add_argument("--arity-bound", type=int, required=True)
     p.add_argument("--member-cap", type=int, default=clone_engine.DEFAULT_MEMBER_CAP)
     p.add_argument("--out")
 
-    p = sub.add_parser("member", help="table membership in a fragment")
+    p = _subcommand(sub, "member", _cmd_member, "table membership in a fragment")
     p.add_argument("--op", required=True)
     p.add_argument("--fragment", required=True)
 
-    p = sub.add_parser("interp", help="pointwise interpolability")
+    p = _subcommand(sub, "interp", _cmd_interp, "pointwise interpolability")
     p.add_argument("--target", required=True)
     p.add_argument("--fragment", required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
 
-    p = sub.add_parser("ultra", help="cover-condition certificate search")
+    p = _subcommand(sub, "ultra", _cmd_ultra, "cover-condition certificate search")
     p.add_argument("--target", required=True)
     p.add_argument("--fragment", required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
@@ -594,59 +589,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-blocks", type=int, default=None)
     p.add_argument("--cert")
 
-    p = sub.add_parser("bp", help="near-unanimity interpolant construction")
+    p = _subcommand(sub, "bp", _cmd_bp, "near-unanimity interpolant construction")
     p.add_argument("--instance", required=True)
     p.add_argument("--cert")
 
-    p = sub.add_parser("detect", help="structural detectors")
-    p.add_argument("what", choices=["ess-unary", "product", "module", "gs"])
+    what = sub.add_parser("detect", help="structural detectors").add_subparsers(
+        dest="what", required=True)
+    p = _subcommand(what, "ess-unary", _cmd_detect_ess_unary, "at most one essential argument")
     p.add_argument("--op", required=True)
-    p.add_argument("--left-size", type=int)
-    p.add_argument("--right-size", type=int)
-    p.add_argument("--group")
-    p.add_argument("--ideal", type=int)
     p.add_argument("--cert")
+    p = _subcommand(what, "product", _cmd_detect_product, "a product of two operations")
+    p.add_argument("--op", required=True)
+    p.add_argument("--left-size", type=int, required=True)
+    p.add_argument("--right-size", type=int, required=True)
+    p.add_argument("--cert")
+    p = _subcommand(what, "module", _cmd_detect_module, "compatible with an abelian group")
+    p.add_argument("--op", required=True)
+    p.add_argument("--group", required=True)
+    p = _subcommand(what, "gs", _cmd_detect_gs, "in the principal-ideal clone")
+    p.add_argument("--op", required=True)
+    p.add_argument("--ideal", type=int, required=True)
 
-    p = sub.add_parser("perm", help="finite-support permutations")
-    p.add_argument(
-        "what", choices=["parity", "alt", "cover-witness", "altb-check"]
-    )
-    p.add_argument("--perm")
+    what = sub.add_parser("perm", help="finite-support permutations").add_subparsers(
+        dest="what", required=True)
+    p = _subcommand(what, "parity", _cmd_perm_parity, "even or odd")
+    p.add_argument("--perm", required=True)
+    p = _subcommand(what, "alt", _cmd_perm_alt, "in Alt, or in Alt_B with --support")
+    p.add_argument("--perm", required=True)
     p.add_argument("--support")
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--map")
+    p = _subcommand(what, "cover-witness", _cmd_perm_cover_witness, "an Alt cover witness")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--window", type=int, required=True)
     p.add_argument("--cert")
+    p = _subcommand(what, "altb-check", _cmd_perm_alt, "in the local closure of Alt_B")
+    p.add_argument("--map", dest="perm", required=True)
+    p.add_argument("--support", required=True)
 
-    p = sub.add_parser("module", help="finite-field recovery pipeline")
-    p.add_argument("what", choices=["recover", "demo"])
-    p.add_argument("--instance")
+    what = sub.add_parser("module", help="finite-field recovery pipeline").add_subparsers(
+        dest="what", required=True)
+    p = _subcommand(what, "recover", _cmd_module_recover, "recover the target")
+    p.add_argument("--instance", required=True)
+    p.add_argument("--cert")
+    p = _subcommand(what, "demo", _cmd_module_demo, "a random valid instance")
     p.add_argument("--field", type=int, default=2)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--cert")
 
-    p = sub.add_parser("verify", help="recheck an emitted certificate")
+    p = _subcommand(sub, "verify", _cmd_verify, "recheck an emitted certificate")
     p.add_argument("certificate")
     p.add_argument("--inputs", nargs="*")
 
     return parser
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "member": _cmd_member,
-    "interp": _cmd_interp,
-    "ultra": _cmd_ultra,
-    "bp": _cmd_bp,
-    "detect": _cmd_detect,
-    "perm": _cmd_perm,
-    "module": _cmd_module,
-    "verify": _cmd_verify,
-}
 
 
 @functools.cache
@@ -672,7 +668,7 @@ def run(argv, out=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except ValueError as exc:
         _emit(out, {"error": {"type": "input", "message": str(exc)}})
         return 1

@@ -416,6 +416,9 @@ DETECT_OPS = {
     "mix4": op(4, tabulate(2, 4, lambda a, b, c, d: (a & b) ^ (c | d))),
     "mix6": op(6, tabulate(2, 6, lambda a, b, c, d, e, f: (a & b & c) ^ (d | e) ^ (c & f))),
     "comm3": op(2, tabulate(3, 2, lambda x, y: (x * y + x + y) % 3)),
+    # Twelve arguments: the table decides, with no matrix of rho3 rows read.
+    "proj12": op(12, tabulate(2, 12, lambda *x: x[0])),
+    "and12": op(12, tabulate(2, 12, lambda *x: x[10] & x[11])),
 }
 
 GROUPS = {
@@ -458,6 +461,8 @@ def detect_cases(c: Corpus) -> None:
         for a in ["0", "1", "2", "5"]:
             c.run(f"detect/gs/{o}/{a}", ["detect", "gs", "--op", f"d_{o}.json", "--ideal", a])
     c.run("detect/gs/no_ideal", ["detect", "gs", "--op", "d_and.json"])
+    c.run("detect/gs/cert", ["detect", "gs", "--op", "d_and.json", "--ideal", "0",
+                             "--cert", "cert_gs.json"], ["cert_gs.json"])
     c.run("detect/unknown", ["detect", "bogus", "--op", "d_and.json"])
     c.run("detect/missing_op", ["detect", "ess-unary", "--op", "nope.json"])
     c.run("detect/bad_op", ["detect", "ess-unary", "--op", "bad_g_short_table.json"])
@@ -498,6 +503,9 @@ def perm_cases(c: Corpus) -> None:
             c.run(f"perm/alt/{name}/{support}", ["perm", "alt", "--perm", path,
                                                  "--support", support])
     c.run("perm/parity/no_perm", ["perm", "parity"])
+    c.run("perm/parity/support", ["perm", "parity", "--perm", "p_cycle3.json", "--support", "0",
+                                  "--k", "3"])
+    c.run("perm/alt/window", ["perm", "alt", "--perm", "p_cycle3.json", "--window", "5"])
     c.run("perm/parity/missing_file", ["perm", "parity", "--perm", "nope.json"])
     for k, a, b, window in [(0, 0, 1, 2), (1, 0, 1, 4), (1, 2, 3, 5), (2, 0, 5, 9),
                             (3, 1, 2, 8), (2, 4, 1, 11), (4, 0, 1, 10)]:
@@ -559,6 +567,7 @@ def module_cases(c: Corpus) -> None:
         c.run(f"module/demo/bad/q{q}_d{dim}", ["module", "demo", "--field", str(q),
                                                "--dim", str(dim)])
     c.run("module/demo/default", ["module", "demo"])
+    c.run("module/demo/cert", ["module", "demo", "--cert", "cert_demo.json"], ["cert_demo.json"])
     good = json.loads(Path("mod_q2_d3_s1.json").read_text())
     bad = {
         "field6": {**good, "field": 6},
@@ -576,6 +585,8 @@ def module_cases(c: Corpus) -> None:
         c.run(f"module/recover/bad/{name}",
               ["module", "recover", "--instance", c.write(f"bad_mod_{name}.json", data)])
     c.run("module/recover/no_instance", ["module", "recover"])
+    c.run("module/recover/field", ["module", "recover", "--instance", "mod_q2_d3_s1.json",
+                                   "--field", "3"])
     c.run("module/unknown", ["module", "bogus"])
 
 

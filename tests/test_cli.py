@@ -316,15 +316,73 @@ def test_verify_rejects_tampering(workdir):
     assert not valid
 
 
-def test_missing_suboptions_are_input_errors():
-    for argv in (
-        ["perm", "parity"],
-        ["perm", "cover-witness", "--k", "1"],
-        ["module", "recover"],
+def test_missing_suboptions_are_input_errors(capsys):
+    # A missing required option is a usage error: it goes to stderr, and
+    # stdout stays empty.
+    for argv, missing in (
+        (["perm", "parity"], "--perm"),
+        (["perm", "cover-witness", "--k", "1"], "--a, --b, --window"),
+        (["module", "recover"], "--instance"),
     ):
-        code, result, _ = invoke(argv)
-        assert code == 1
-        assert result["error"]["type"] == "input"
+        code, _, text = invoke(argv)
+        assert code == 1 and text == ""
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+# The options detect, perm and module each accepted for all their questions
+# alike, and the options each question reads; any other is a usage error.
+FLAT_OPTIONS = {
+    "detect": ["--op", "--left-size", "--right-size", "--group", "--ideal", "--cert"],
+    "perm": ["--perm", "--support", "--k", "--a", "--b", "--window", "--map", "--cert"],
+    "module": ["--instance", "--field", "--dim", "--seed", "--out", "--cert"],
+}
+QUESTION_OPTIONS = {
+    ("detect", "ess-unary"): ["--op", "--cert"],
+    ("detect", "product"): ["--op", "--left-size", "--right-size", "--cert"],
+    ("detect", "module"): ["--op", "--group"],
+    ("detect", "gs"): ["--op", "--ideal"],
+    ("perm", "parity"): ["--perm"],
+    ("perm", "alt"): ["--perm", "--support"],
+    ("perm", "cover-witness"): ["--k", "--a", "--b", "--window", "--cert"],
+    ("perm", "altb-check"): ["--map", "--support"],
+    ("module", "recover"): ["--instance", "--cert"],
+    ("module", "demo"): ["--field", "--dim", "--seed", "--out"],
+}
+UNREAD_OPTIONS = [
+    (command, question, option)
+    for (command, question), options in QUESTION_OPTIONS.items()
+    for option in FLAT_OPTIONS[command] if option not in options
+]
+
+
+@pytest.mark.parametrize("command, question, option", UNREAD_OPTIONS)
+def test_a_question_refuses_every_option_it_does_not_read(tmp_path, capsys, command, question,
+                                                          option):
+    assert len(UNREAD_OPTIONS) == 42
+    written = {"--cert": tmp_path / "cert.json", "--out": tmp_path / "out.json"}
+    perm = write_json(tmp_path, "c3.json", {"moved": {"0": 1, "1": 2, "2": 0}})
+    instance = str(tmp_path / "instance.json")
+    assert invoke(["module", "demo", "--dim", "3", "--out", instance])[0] == 0
+    values = {
+        "--op": write_json(tmp_path, "and.json", {"arity": 2, "table": [0, 0, 0, 1]}),
+        "--left-size": "1", "--right-size": "2", "--ideal": "0",
+        "--group": write_json(tmp_path, "z2.json", {
+            "universe": {"size": 2}, "add": {"arity": 2, "table": [0, 1, 1, 0]},
+            "neg": {"arity": 1, "table": [0, 1]}, "zero": 0}),
+        "--perm": perm, "--map": perm, "--support": "0,1,2",
+        "--k": "1", "--a": "0", "--b": "1", "--window": "4",
+        "--instance": instance, "--field": "2", "--dim": "3", "--seed": "1",
+        **{name: str(path) for name, path in written.items()},
+    }
+    argv = [command, question]
+    for name in QUESTION_OPTIONS[command, question]:
+        argv += [name, values[name]]
+    code, _, text = invoke(argv + [option, values[option]])
+    assert (code, text) == (1, "")
+    assert f"unrecognized arguments: {option} {values[option]}" in capsys.readouterr().err
+    assert not any(path.exists() for path in written.values())
+    # The same argv without the option answers.
+    assert invoke(argv)[0] == 0
 
 
 def test_ultra_strategy_alias(workdir):
@@ -1186,15 +1244,39 @@ def test_a_certificate_of_2_to_the_27_subfamilies_is_refused_before_listing_any(
         "needs more than 67108864 subfamilies, counted before listing any")}})
 
 
-def test_ess_unary_on_a_12_ary_projection_exits_2_at_the_matrix_cap(tmp_path):
-    # 6^12 matrices of rho3 rows; uncapped this scan would take about 40 minutes
+def test_ess_unary_on_a_12_ary_projection_answers_from_the_table(tmp_path):
+    # The table decides, so no matrix of rho3 rows is read: 6^12 of them.
     proj = write_json(tmp_path, "p.json", {"arity": 12, "table": [x >> 11 for x in range(4096)]})
     started = time.perf_counter()
     code, result, _ = invoke(["detect", "ess-unary", "--op", proj])
+    assert time.perf_counter() - started < 1.0
+    assert (code, result) == (0, {"essentially_unary": True})
+
+
+def test_ess_unary_witness_of_x11_and_x12_among_12_arguments_verifies(tmp_path):
+    op = write_json(tmp_path, "op.json", {"arity": 12, "table": [
+        (x >> 1) & x & 1 for x in range(4096)]})
+    cert = str(tmp_path / "cert.json")
+    code, result, _ = invoke(["detect", "ess-unary", "--op", op, "--cert", cert])
+    assert code == 0 and result["essentially_unary"] is False
+    assert result["witness"] == {"rows": [[0, 0, 0]] * 10 + [[0, 1, 1], [1, 1, 0]],
+                                 "image": [0, 1, 0]}
+    assert invoke(["verify", cert, "--inputs", op])[:2] == (0, {"valid": True})
+
+
+def test_ess_unary_on_x1_and_x2_among_12_arguments_exits_2_at_the_matrix_cap(tmp_path):
+    # Not essentially unary, but every failing matrix lies past the first
+    # MATRIX_CAP of the 6^12 the witness scan reads.
+    op = write_json(tmp_path, "op.json", {"arity": 12, "table": [
+        (x >> 11) & (x >> 10) & 1 for x in range(4096)]})
+    cert = tmp_path / "cert.json"
+    started = time.perf_counter()
+    code, result, _ = invoke(["detect", "ess-unary", "--op", op, "--cert", str(cert)])
     assert time.perf_counter() - started < 2.0
     assert (code, result) == (2, {"error": {"type": "resource_cap", "message": (
         "matrix cap 1048576 reached: scanned 1048572 of the 2176782336 matrices of 12 rows "
         "from a relation of 6 tuples, none failing")}})
+    assert not cert.exists()
 
 
 def test_verify_of_a_forged_dagger_with_2_to_the_26_subfamilies_is_fast(tmp_path):
@@ -1254,13 +1336,14 @@ def test_windows_past_the_window_cap_exit_2_before_listing(tmp_path):
 
 
 @pytest.mark.parametrize("window", ["0", "10", str(symbolic_perms.WINDOW_CAP + 1)])
-def test_altb_check_rejects_a_window(tmp_path, window):
-    # Alt_B is finite, so membership needs no window, and one given is an
-    # input error whatever its size, before the map is read.
+def test_altb_check_rejects_a_window(tmp_path, capsys, window):
+    # Alt_B is finite, so membership needs no window, and one given is a
+    # usage error whatever its size, before the map is read.
     argv = ["perm", "altb-check", "--map", str(tmp_path / "absent.json"), "--support", "0,1",
             "--window", window]
-    assert invoke(argv)[:2] == (1, {"error": {
-        "type": "input", "message": "--window does not apply to perm altb-check"}})
+    code, _, text = invoke(argv)
+    assert (code, text) == (1, "")
+    assert f"unrecognized arguments: --window {window}" in capsys.readouterr().err
 
 
 def test_altb_check_with_a_2000_point_support_is_fast(tmp_path):

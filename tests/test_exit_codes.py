@@ -40,33 +40,34 @@ JSON = st.recursive(
 )
 
 # (words, input file options, integer options, output file options, text
-# options). The options in REQUIRED, which argparse requires, are always
-# given; each other option is given or left out.
+# options, required options). Each row lists only the options its command
+# or question reads. The required ones, which argparse requires, are
+# always given; each other option is given or left out.
 COMMANDS = [
-    (["gen"], ["--generators"], ["--arity-bound", "--member-cap"], ["--out"], []),
-    (["member"], ["--op", "--fragment"], [], [], []),
-    (["interp"], ["--target", "--fragment"], ["--lambda"], [], []),
+    (["gen"], ["--generators"], ["--arity-bound", "--member-cap"], ["--out"], [],
+     {"--generators", "--arity-bound"}),
+    (["member"], ["--op", "--fragment"], [], [], [], {"--op", "--fragment"}),
+    (["interp"], ["--target", "--fragment"], ["--lambda"], [], [],
+     {"--target", "--fragment", "--lambda"}),
     *[
         (["ultra", "--strategy", strategy], ["--target", "--fragment"],
-         ["--lambda", "--max-blocks"], ["--cert"], [])
+         ["--lambda", "--max-blocks"], ["--cert"], [], {"--target", "--fragment", "--lambda"})
         for strategy in ("singletons", "equalizer_atoms", "exhaustive")
     ],
-    (["bp"], ["--instance"], [], ["--cert"], []),
-    *[
-        (["detect", what], ["--op", "--group"], ["--left-size", "--right-size", "--ideal"],
-         ["--cert"], [])
-        for what in ("ess-unary", "product", "module", "gs")
-    ],
-    *[
-        (["perm", what], ["--perm", "--map"], ["--k", "--a", "--b", "--window"], ["--cert"],
-         ["--support"])
-        for what in ("parity", "alt", "cover-witness", "altb-check")
-    ],
-    (["module", "recover"], ["--instance"], [], ["--cert"], []),
-    (["module", "demo"], [], ["--field", "--dim", "--seed"], ["--out"], []),
+    (["bp"], ["--instance"], [], ["--cert"], [], {"--instance"}),
+    (["detect", "ess-unary"], ["--op"], [], ["--cert"], [], {"--op"}),
+    (["detect", "product"], ["--op"], ["--left-size", "--right-size"], ["--cert"], [],
+     {"--op", "--left-size", "--right-size"}),
+    (["detect", "module"], ["--op", "--group"], [], [], [], {"--op", "--group"}),
+    (["detect", "gs"], ["--op"], ["--ideal"], [], [], {"--op", "--ideal"}),
+    (["perm", "parity"], ["--perm"], [], [], [], {"--perm"}),
+    (["perm", "alt"], ["--perm"], [], [], ["--support"], {"--perm"}),
+    (["perm", "cover-witness"], [], ["--k", "--a", "--b", "--window"], ["--cert"], [],
+     {"--k", "--a", "--b", "--window"}),
+    (["perm", "altb-check"], ["--map"], [], [], ["--support"], {"--map", "--support"}),
+    (["module", "recover"], ["--instance"], [], ["--cert"], [], {"--instance"}),
+    (["module", "demo"], [], ["--field", "--dim", "--seed"], ["--out"], [], set()),
 ]
-REQUIRED = {"--generators", "--arity-bound", "--op", "--fragment", "--target", "--lambda",
-            "--instance"}
 
 
 def _write(directory, name, obj) -> str:
@@ -77,10 +78,10 @@ def _write(directory, name, obj) -> str:
 
 @st.composite
 def command_argv(draw, directory):
-    words, files, ints, outputs, texts = draw(st.sampled_from(COMMANDS))
+    words, files, ints, outputs, texts, required = draw(st.sampled_from(COMMANDS))
     argv = list(words)
     for option in files + ints + outputs + texts:
-        if option not in REQUIRED and not draw(st.booleans()):
+        if option not in required and not draw(st.booleans()):
             continue
         if option in files:
             value = _write(directory, option.strip("-") + ".json", draw(JSON))
